@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test vet lint check bench bench-core bench-mem bench-mc bench-twin bench-go sweep report examples telemetry-smoke clean
+.PHONY: test vet lint check bench-twin bench-go sweep report examples telemetry-smoke clean
 
 test:
 	go test ./...
@@ -22,39 +22,6 @@ lint:
 # test suite runs.
 check:
 	go test -tags simcheck ./...
-
-# Benchmark the sweep itself: time a sampled parallel sweep against the
-# sequential full-detail reference and write wall-clock, sim-cycles/sec,
-# speedup, and sampling error to BENCH_sweep.json.
-bench:
-	go run ./cmd/runahead-sweep -experiments figure9 \
-		-benchmarks mcf,libquantum,lbm,milc -uops 1000000 \
-		-sample -intervals 4 -sample-window 40000 -sample-warmup 20000 \
-		-j 8 -q -bench-out BENCH_sweep.json -out /dev/null
-
-# Benchmark the cycle kernel: event-driven wakeup/select scheduler vs the
-# reference ROB scan on the memory-bound workloads, each pair verified to
-# finish on the same cycle with byte-identical snapshots. Writes
-# BENCH_core.json (see DESIGN.md, "Event-driven wakeup/select scheduler").
-bench-core:
-	go run ./cmd/runahead-sweep -bench-core BENCH_core.json
-
-# Benchmark the memory system + clock: the event-driven hierarchy with
-# whole-simulator stall skipping (ClockWarp) vs the per-cycle reference
-# (ClockTick) on the memory-bound workloads, each pair verified to finish on
-# the same cycle with byte-identical snapshots (hence zero IPC deviation).
-# Writes BENCH_mem.json (see DESIGN.md, "Event-driven memory system and the
-# clock warp").
-bench-mem:
-	go run ./cmd/runahead-sweep -uops 300000 -bench-mem BENCH_mem.json
-
-# Benchmark the multi-core cluster: 2- and 4-core multi-programmed mixes
-# sharing one LLC + DRAM, baseline vs runahead buffer, with per-rep snapshot
-# digests cross-checked for determinism. Writes BENCH_mc.json: weighted
-# speedup, fairness, and simulation throughput per cell plus RB-vs-baseline
-# deltas (see DESIGN.md §13).
-bench-mc:
-	go run ./cmd/runahead-sweep -uops 60000 -bench-mc BENCH_mc.json
 
 # Benchmark the analytical twin: run the full-detail figure9 reference
 # sweep, calibrate the interval model against it, then run a fresh screened
@@ -78,11 +45,13 @@ telemetry-smoke:
 bench-go:
 	go test -bench . -benchtime 1x .
 
-# Regenerate every table and figure at full fidelity (~10 minutes).
+# Regenerate every table and figure at full fidelity into the committed
+# sweep_results.txt (under a minute on a 2-CPU host; CI's results-fresh job
+# diffs it, and report_results.txt, against a fresh run).
 sweep:
 	go run ./cmd/runahead-sweep -uops 150000 -out sweep_results.txt
 
-# Paper-claim verdict table.
+# Paper-claim verdict table (committed as report_results.txt).
 report:
 	go run ./cmd/runahead-report
 
@@ -93,4 +62,4 @@ examples:
 	go run ./examples/energy_tradeoff
 
 clean:
-	rm -f sweep_results.txt test_output.txt bench_output.txt BENCH_sweep.json BENCH_core.json BENCH_mem.json BENCH_mc.json BENCH_twin.json twin_coeffs.json
+	rm -f test_output.txt bench_output.txt BENCH_twin.json twin_coeffs.json

@@ -17,19 +17,11 @@ import (
 // buildConfig translates the CLI mode flags into a core configuration.
 func buildConfig(mode string, pf, enh bool, pfKind string) (core.Config, error) {
 	cfg := core.DefaultConfig()
-	switch mode {
-	case "baseline":
-	case "runahead":
-		cfg.Mode = core.ModeTraditional
-	case "runahead-buffer":
-		cfg.Mode = core.ModeBuffer
-	case "runahead-buffer+cc":
-		cfg.Mode = core.ModeBufferCC
-	case "hybrid":
-		cfg.Mode = core.ModeHybrid
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", mode)
+	m, err := core.ParseMode(mode)
+	if err != nil {
+		return cfg, err
 	}
+	cfg.Mode = m
 	cfg.Enhancements = enh
 	cfg.Mem.EnablePrefetch = pf
 	cfg.Mem.PrefetchKind = pfKind

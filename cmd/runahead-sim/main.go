@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name (see -list)")
-		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid")
+		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid | adaptive-hybrid")
 		pf     = flag.Bool("pf", false, "enable the stream prefetcher")
 		pfkind = flag.String("pfkind", "stream", "prefetch engine: stream | delta (with -pf and -trace only)")
 		enh    = flag.Bool("enh", false, "enable the runahead efficiency enhancements")

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -32,39 +30,22 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSampledSweepRuns checks the -sample path end to end, with a bench
-// report carrying the measured speedup and sampling error.
+// TestSampledSweepRuns checks the -sample path end to end: the sampled
+// sweep must exit cleanly and render its tables. Sampling accuracy against
+// full detail is pinned in the harness (TestSampledMatchesFullRun).
 func TestSampledSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	benchFile := filepath.Join(t.TempDir(), "bench.json")
 	args := []string{"-experiments", "figure12", "-benchmarks", "mcf",
 		"-uops", "60000", "-warmup", "30000", "-q",
-		"-sample", "-intervals", "4", "-j", "4", "-bench-out", benchFile}
+		"-sample", "-intervals", "4", "-j", "4"}
 	var out, errb bytes.Buffer
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("sampled sweep exited %d: %s", code, errb.String())
 	}
-	data, err := os.ReadFile(benchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v\n%s", err, data)
-	}
-	if rep.Runs == 0 || rep.WallParallelSec <= 0 || rep.WallSequentialSec <= 0 {
-		t.Fatalf("bench report missing timings: %+v", rep)
-	}
-	if !rep.Sampled || rep.Intervals != 4 {
-		t.Fatalf("bench report misdescribes the setup: %+v", rep)
-	}
-	if rep.SimCycles <= 0 || rep.SimCyclesPerSec <= 0 {
-		t.Fatalf("bench report missing throughput: %+v", rep)
-	}
-	if rep.MaxIPCRelErrPct > 25 {
-		t.Errorf("sampling error %.1f%% implausibly large: %+v", rep.MaxIPCRelErrPct, rep)
+	if !bytes.Contains(out.Bytes(), []byte("== figure12:")) || !bytes.Contains(out.Bytes(), []byte("mcf")) {
+		t.Fatalf("sampled sweep rendered no figure12 table:\n%s", out.String())
 	}
 }
 

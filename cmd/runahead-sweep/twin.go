@@ -273,3 +273,10 @@ func rankingMatches(a, b *harness.Runner, benches []string) bool {
 	}
 	return true
 }
+
+func abs(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

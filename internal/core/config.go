@@ -59,6 +59,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it maps a mode name back to its
+// Mode, and rejects any name String does not produce.
+func ParseMode(name string) (Mode, error) {
+	for m := ModeNone; m <= ModeAdaptive; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // UsesBuffer reports whether the mode can execute from the runahead buffer.
 func (m Mode) UsesBuffer() bool {
 	return m == ModeBuffer || m == ModeBufferCC || m == ModeHybrid || m == ModeAdaptive

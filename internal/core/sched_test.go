@@ -8,6 +8,7 @@ import (
 	"runaheadsim/internal/isa"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/trace"
+	"runaheadsim/internal/workload"
 )
 
 // issueRecorder is a trace.Sink that keeps the exact issue stream — (cycle,
@@ -113,7 +114,8 @@ func TestSchedulerLockstep(t *testing.T) {
 
 // TestSchedulerLockstepMemoryBound repeats the lockstep check on the
 // memory-bound gather workload, where runahead intervals (and therefore
-// flush/re-enroll churn in the scheduler) dominate.
+// flush/re-enroll churn in the scheduler) dominate, and on the mcf pointer
+// chase under the baseline and both runahead-buffer flavors.
 func TestSchedulerLockstepMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential simulation is slow")
@@ -121,6 +123,10 @@ func TestSchedulerLockstepMemoryBound(t *testing.T) {
 	p := gatherLoop(2)
 	for _, mode := range []Mode{ModeNone, ModeBufferCC, ModeHybrid} {
 		lockstepCompare(t, "gather/"+mode.String(), testConfig(mode), p, 20_000)
+	}
+	mcf := workload.MustLoad("mcf")
+	for _, mode := range []Mode{ModeNone, ModeBuffer, ModeBufferCC} {
+		lockstepCompare(t, "mcf/"+mode.String(), testConfig(mode), mcf, 60_000)
 	}
 }
 

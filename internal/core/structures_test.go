@@ -331,11 +331,22 @@ func TestModeString(t *testing.T) {
 		ModeBuffer:      "runahead-buffer",
 		ModeBufferCC:    "runahead-buffer+cc",
 		ModeHybrid:      "hybrid",
+		ModeAdaptive:    "adaptive-hybrid",
 		Mode(99):        "unknown",
 	}
 	for m, want := range cases {
 		if m.String() != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, m.String(), want)
+		}
+	}
+	for m := ModeNone; m <= ModeAdaptive; m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"unknown", "", "Hybrid", "adaptive"} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted an unknown mode name", name)
 		}
 	}
 	for _, m := range []Mode{ModeBuffer, ModeBufferCC, ModeHybrid} {

@@ -7,6 +7,7 @@ import (
 
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/stats"
+	"runaheadsim/internal/workload"
 )
 
 // runClocked runs one core over p to target commits with an issue recorder
@@ -92,9 +93,10 @@ func TestClockWarpLockstep(t *testing.T) {
 
 // TestClockWarpLockstepMemoryBound repeats the lockstep check on the
 // memory-bound gather workload — the regime the warp exists for, where the
-// ROB sits blocked on DRAM for hundreds of cycles at a time — and requires
-// the warp to have actually skipped a substantial share of the simulated
-// cycles (otherwise the equivalence holds vacuously).
+// ROB sits blocked on DRAM for hundreds of cycles at a time — and on the mcf
+// and lbm kernels under the baseline and both runahead-buffer flavors. It
+// also requires the warp to have actually skipped a substantial share of the
+// simulated cycles (otherwise the equivalence holds vacuously).
 func TestClockWarpLockstepMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential simulation is slow")
@@ -102,6 +104,12 @@ func TestClockWarpLockstepMemoryBound(t *testing.T) {
 	p := gatherLoop(2)
 	for _, mode := range []Mode{ModeNone, ModeBufferCC, ModeHybrid} {
 		clockLockstepCompare(t, "gather/"+mode.String(), testConfig(mode), p, 20_000)
+	}
+	for _, bench := range []string{"mcf", "lbm"} {
+		wp := workload.MustLoad(bench)
+		for _, mode := range []Mode{ModeNone, ModeBuffer, ModeBufferCC} {
+			clockLockstepCompare(t, bench+"/"+mode.String(), testConfig(mode), wp, 60_000)
+		}
 	}
 
 	c := New(testConfig(ModeNone), p)

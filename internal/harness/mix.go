@@ -211,10 +211,10 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 	return res
 }
 
-// DefaultMix returns the default n-core kernel mix: the memory-bound
-// rotation the memory-system benchmarks use, truncated or cycled to n.
+// DefaultMix returns the default n-core kernel mix: a rotation over the
+// memory-bound kernels, truncated or cycled to n.
 func DefaultMix(n int) []string {
-	pool := DefaultBenchMemBenches()
+	pool := []string{"mcf", "milc", "omnetpp", "libquantum", "lbm"}
 	mix := make([]string, n)
 	for i := range mix {
 		mix[i] = pool[i%len(pool)]

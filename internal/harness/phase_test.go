@@ -10,6 +10,7 @@ import (
 
 	"runaheadsim/internal/phases"
 	"runaheadsim/internal/snapshot"
+	"runaheadsim/internal/stats"
 )
 
 // TestPlanEvenTiling checks the interval placement over awkward
@@ -268,6 +269,48 @@ func TestPhaseSampledWithinCI(t *testing.T) {
 					bench, rc.Label(), f.IPC, ci.Lo, ci.Hi)
 			}
 		}
+	}
+}
+
+// TestPhaseNoWorseThanEven is the placement-quality gate: over figure9's
+// runs on mcf and libquantum, phase placement must match or beat even
+// placement's worst per-run IPC error against full detail, at no more
+// detailed-simulation cost.
+func TestPhaseNoWorseThanEven(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	opts := Options{MeasureUops: 300_000, Benchmarks: []string{"mcf", "libquantum"}}
+	full := NewRunner(opts)
+	plan := full.Plan(func(r *Runner) { Figure9(r) })
+	if len(plan) == 0 {
+		t.Fatal("figure9 planned no runs")
+	}
+	full.Prewarm(plan, 2)
+	sampled := func(mode string) (maxErrPct float64, detailedUops uint64) {
+		so := opts
+		so.Sample = &SampleOptions{Mode: mode, Intervals: 4, WindowUops: 40_000, WarmupUops: 20_000, Workers: 1}
+		r := NewRunner(so)
+		r.Prewarm(plan, 2)
+		for _, pr := range plan {
+			f, s := full.Result(pr.Bench, pr.Config), r.Result(pr.Bench, pr.Config)
+			if s.Sampling == nil {
+				t.Fatalf("%s/%s: %s-sampled result carries no SamplingInfo", pr.Bench, pr.Config.Label(), mode)
+			}
+			maxErrPct = math.Max(maxErrPct, 100*stats.Div(math.Abs(s.IPC-f.IPC), f.IPC))
+			detailedUops += s.Sampling.DetailedUops
+		}
+		return maxErrPct, detailedUops
+	}
+	evenErr, evenUops := sampled(SampleEven)
+	phaseErr, phaseUops := sampled(SamplePhase)
+	t.Logf("%d runs: even max IPC error %.3f%% over %d detailed uops, phase %.3f%% over %d",
+		len(plan), evenErr, evenUops, phaseErr, phaseUops)
+	if phaseErr > evenErr {
+		t.Errorf("phase max IPC error %.3f%% exceeds even placement's %.3f%%", phaseErr, evenErr)
+	}
+	if phaseUops > evenUops {
+		t.Errorf("phase placement simulated %d detailed uops, more than even placement's %d", phaseUops, evenUops)
 	}
 }
 

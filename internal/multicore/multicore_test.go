@@ -2,6 +2,8 @@ package multicore
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"runaheadsim/internal/core"
@@ -136,24 +138,50 @@ func TestClusterWarpTickLockstep(t *testing.T) {
 }
 
 // TestDeterministicInterleaving pins the shared-LLC grant order: two
-// identical runs of the same 2-core mix must agree on every statistic and
-// every snapshot byte. The arbiter is pure FIFO + rotating pointer — no map
+// identical runs of the same mix must agree on every statistic and every
+// snapshot byte. The arbiter is pure FIFO + rotating pointer — no map
 // iteration, no host scheduling — so any divergence is a determinism bug.
+// Beyond a runahead-heavy 2-core pair, the cases cover the default
+// memory-bound mixes at 2 and 4 cores under the baseline and the runahead
+// buffer, warmed up and statistics-reset the way harness.RunMix measures.
 func TestDeterministicInterleaving(t *testing.T) {
-	const quota = 5_000
-	run := func() []byte {
-		progs := []*prog.Program{workload.MustLoad("milc"), workload.MustLoad("omnetpp")}
-		cl := New(testConfig(core.ModeHybrid), progs)
-		cl.Run(quota)
-		snap, err := cl.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
+	cases := []struct {
+		mix           []string
+		mode          core.Mode
+		warmup, quota uint64
+	}{
+		{[]string{"milc", "omnetpp"}, core.ModeHybrid, 0, 5_000},
+		{[]string{"mcf", "milc"}, core.ModeNone, 100_000, 20_000},
+		{[]string{"mcf", "milc"}, core.ModeBuffer, 100_000, 20_000},
+		{[]string{"mcf", "milc", "omnetpp", "libquantum"}, core.ModeNone, 100_000, 20_000},
+		{[]string{"mcf", "milc", "omnetpp", "libquantum"}, core.ModeBuffer, 100_000, 20_000},
 	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("identical 2-core runs produced different snapshots (%d vs %d bytes)", len(a), len(b))
+	for _, tc := range cases {
+		if testing.Short() && tc.warmup > 0 {
+			continue
+		}
+		name := fmt.Sprintf("%s/%v", strings.Join(tc.mix, "+"), tc.mode)
+		run := func() []byte {
+			progs := make([]*prog.Program, len(tc.mix))
+			for i, b := range tc.mix {
+				progs[i] = workload.MustLoad(b)
+			}
+			cl := New(testConfig(tc.mode), progs)
+			if tc.warmup > 0 {
+				cl.Run(tc.warmup)
+				cl.ResetStats()
+			}
+			cl.Run(tc.quota)
+			snap, err := cl.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return snap
+		}
+		a, b := run(), run()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: identical runs produced different snapshots (%d vs %d bytes)", name, len(a), len(b))
+		}
 	}
 }
 

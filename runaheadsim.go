@@ -56,22 +56,14 @@ func Modes() []Mode {
 }
 
 func (m Mode) coreMode() (core.Mode, error) {
-	switch m {
-	case ModeBaseline, "":
+	if m == "" {
 		return core.ModeNone, nil
-	case ModeRunahead:
-		return core.ModeTraditional, nil
-	case ModeRunaheadBuffer:
-		return core.ModeBuffer, nil
-	case ModeRunaheadBufferCC:
-		return core.ModeBufferCC, nil
-	case ModeHybrid:
-		return core.ModeHybrid, nil
-	case ModeAdaptiveHybrid:
-		return core.ModeAdaptive, nil
-	default:
+	}
+	cm, err := core.ParseMode(string(m))
+	if err != nil {
 		return 0, fmt.Errorf("runaheadsim: unknown mode %q (have %v)", m, Modes())
 	}
+	return cm, nil
 }
 
 // Config selects one simulation.
