@@ -233,12 +233,12 @@ func (r *RAS) Pop() uint64 {
 	return r.entries[r.top]
 }
 
-// Snapshot captures the full RAS state (it is small; the paper checkpoints
-// the RAS on runahead entry).
-func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, depth: r.depth}
-	s.entries = append(s.entries, r.entries...)
-	return s
+// SnapshotInto captures the full RAS state into s (it is small; the paper
+// checkpoints the RAS on runahead entry). It reuses s's entry storage, so a
+// caller that checkpoints repeatedly into one snapshot allocates only once.
+func (r *RAS) SnapshotInto(s *RASSnapshot) {
+	s.entries = append(s.entries[:0], r.entries...)
+	s.top, s.depth = r.top, r.depth
 }
 
 // Restore rewinds the RAS to a snapshot.

@@ -158,7 +158,8 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(4)
 	r.Push(10)
 	r.Push(20)
-	snap := r.Snapshot()
+	var snap RASSnapshot
+	r.SnapshotInto(&snap)
 	r.Pop()
 	r.Push(99)
 	r.Push(98)

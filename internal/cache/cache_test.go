@@ -179,8 +179,8 @@ func TestMSHRBasics(t *testing.T) {
 		t.Fatal("lookup of allocated entry must succeed")
 	}
 	f.Allocate(0x2000, false)
-	if !f.FullNow() {
-		t.Fatal("file with cap entries must be full")
+	if f.Outstanding() != 2 {
+		t.Fatal("file must hold cap entries")
 	}
 	if f.Allocate(0x3000, false) != nil {
 		t.Fatal("allocation beyond capacity must fail")

@@ -34,14 +34,41 @@ type Outcome struct {
 	Line  uint64
 }
 
-// Waiter is one completion callback attached to an MSHR. The fill loop
-// constructs the Outcome (it knows the cycle, the fill level, and the line),
-// so requesters append their completion function directly — the dominant
-// demand-miss paths allocate no adapter closure. MarkDirty tags store
-// waiters: the owner dirties the filled line before invoking Done.
+// LoadTag identifies one outstanding load to the requestor that issued it.
+// The hierarchy never looks inside: it copies the tag by value into MSHR
+// records and events and hands it back to the requestor's load sink, so a
+// load miss needs no per-access closure. Ref is the requestor's handle for
+// the load and must be non-nil; a pointer stored in an interface does not
+// allocate. Gen and Seq let the requestor recognize a handle whose slot it
+// has recycled since the load issued, and Addr is the address it loaded.
+type LoadTag struct {
+	Ref  any
+	Gen  uint64
+	Seq  uint64
+	Addr uint64
+}
+
+// Waiter is one completion attached to an MSHR. The fill loop constructs the
+// Outcome (it knows the cycle, the fill level, and the line) and either calls
+// Done — a shared callback the requester built once (stores, instruction
+// fetches, LLC-to-L1 fills) — or, when Done is nil, delivers Load to the
+// requestor's load sink. MarkDirty tags store waiters: the owner dirties the
+// filled line before invoking Done. The zero Waiter attaches nothing.
 type Waiter struct {
 	Done      func(Outcome)
+	Load      LoadTag
 	MarkDirty bool
+}
+
+// EarlyMiss is one DRAM-bound notification owed to a load waiting on an
+// MSHR: the owner reports Load to the requestor's load sink the moment the
+// miss is known to go to DRAM (runahead needs to learn this without waiting
+// for data). NoWait marks the load that allocated the entry under no-wait
+// (runahead) semantics: it also completes at that moment, and its fill
+// waiter, Waiters[0], is cleared so the later fill cannot notify it again.
+type EarlyMiss struct {
+	Load   LoadTag
+	NoWait bool
 }
 
 // MSHRFile tracks outstanding misses for one cache level. Requests to a line
@@ -55,7 +82,9 @@ type MSHRFile struct {
 	// Statistics.
 	Allocs uint64
 	Merges uint64
-	Full   uint64
+	// Full counts Allocate calls refused because every entry was in use —
+	// one per refused access, so a load retried each cycle counts each time.
+	Full uint64
 	// Peak is the maximum simultaneous occupancy seen — the MLP ceiling a
 	// run actually reached, plotted against capacity by the timeline tools.
 	Peak int
@@ -63,9 +92,12 @@ type MSHRFile struct {
 	// Simulator self-profiling (not simulated state, not snapshotted):
 	// Allocate outcomes against the recycle pool. PoolHits reuse an entry
 	// (and its waiter-list backing array); PoolNews hit the Go allocator.
-	// A warm file should be ~all hits after the first few misses.
+	// A warm file should be ~all hits after the first few misses. PoolFull
+	// counts the same refusals as Full but, like the pool counters, is never
+	// reset, so the metrics exporter can publish it as a monotonic total.
 	PoolHits uint64 //simlint:nosnapshot simulator self-profiling, not simulated state
 	PoolNews uint64 //simlint:nosnapshot simulator self-profiling, not simulated state
+	PoolFull uint64 //simlint:nosnapshot simulator self-profiling, not simulated state
 
 	// Lifetime conservation counters. Unlike Allocs (zeroed by ResetStats
 	// while entries are outstanding), these are never reset, so
@@ -83,7 +115,7 @@ type MSHRFile struct {
 // MSHR is one outstanding line fill.
 type MSHR struct {
 	LineAddr uint64
-	// Waiters are completion callbacks invoked at fill with the outcome.
+	// Waiters are the completions notified at fill with the outcome.
 	Waiters []Waiter
 	// Prefetch is true while the fill is owed only to prefetch requests; a
 	// demand merge clears it (late prefetch).
@@ -94,9 +126,9 @@ type MSHR struct {
 	// FillFromMem is set by the owner when the fill had to go to DRAM, so
 	// waiters can learn how deep the miss went.
 	FillFromMem bool
-	// EarlyMiss callbacks fire the moment the miss is known to be DRAM-bound
-	// (runahead needs to learn this without waiting for data).
-	EarlyMiss []func(cycle int64)
+	// EarlyMiss lists the loads to notify when the miss is known to be
+	// DRAM-bound.
+	EarlyMiss []EarlyMiss
 	// Req is the requestor (core) the fill is attributed to in shared MSHR
 	// files — the LLC level uses it to charge eviction writebacks to the core
 	// whose miss displaced the victim. Recycle zeroes it, so owners restamp
@@ -118,19 +150,18 @@ func (f *MSHRFile) Lookup(lineAddr uint64) (*MSHR, bool) {
 	return m, ok
 }
 
-// FullNow reports whether no new entry can be allocated.
-func (f *MSHRFile) FullNow() bool { return len(f.entries) >= f.cap }
-
 // Allocate creates an entry for lineAddr. It returns nil and counts the
-// rejection when the file is full. lineAddr must not already be present
-// (callers merge via Lookup first).
+// rejection when the file is full; it is the only place a refusal is
+// counted, so callers try it rather than testing occupancy first. lineAddr
+// must not already be present (callers merge via Lookup first).
 func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
-	if _, ok := f.entries[lineAddr]; ok {
-		panic("cache: MSHR already allocated for line")
-	}
 	if len(f.entries) >= f.cap {
 		f.Full++
+		f.PoolFull++
 		return nil
+	}
+	if _, ok := f.entries[lineAddr]; ok {
+		panic("cache: MSHR already allocated for line")
 	}
 	var m *MSHR
 	if n := len(f.free); n > 0 {
@@ -155,7 +186,7 @@ func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
 // Merge attaches a waiter to an existing entry. A demand merge into a
 // prefetch entry converts it and records the lateness.
 func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Waiter) {
-	if waiter.Done != nil {
+	if waiter.Done != nil || waiter.Load.Ref != nil {
 		m.Waiters = append(m.Waiters, waiter)
 	}
 	if demand && m.Prefetch {
@@ -169,25 +200,29 @@ func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Waiter) {
 func (f *MSHRFile) Complete(lineAddr uint64) *MSHR {
 	m, ok := f.entries[lineAddr]
 	if !ok {
-		panic("cache: completing MSHR that was never allocated")
+		panicNotAllocated()
 	}
 	delete(f.entries, lineAddr)
 	f.completeTotal++
 	return m
 }
 
+// panicNotAllocated is Complete's bug report, out of line so the inlined
+// Complete carries no panic value into its callers' hot paths.
+//
+//go:noinline
+func panicNotAllocated() {
+	panic("cache: completing MSHR that was never allocated")
+}
+
 // Recycle returns a completed entry to the allocation pool. The caller must
 // be done with every reference to m — waiters run, fill level inspected —
-// because the next Allocate may hand the same entry out again. Callback slots
-// are nil-ed so recycled lists don't retain dead closures, but the backing
-// arrays survive for reuse.
+// because the next Allocate may hand the same entry out again. Waiter and
+// notification slots are zeroed so recycled lists don't retain dead
+// callbacks or load handles, but the backing arrays survive for reuse.
 func (f *MSHRFile) Recycle(m *MSHR) {
-	for i := range m.Waiters {
-		m.Waiters[i] = Waiter{}
-	}
-	for i := range m.EarlyMiss {
-		m.EarlyMiss[i] = nil
-	}
+	clear(m.Waiters)
+	clear(m.EarlyMiss)
 	*m = MSHR{Waiters: m.Waiters[:0], EarlyMiss: m.EarlyMiss[:0]}
 	f.free = append(f.free, m)
 }

@@ -73,7 +73,7 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 }
 
 // SnapshotTo serializes the MSHR file's bookkeeping. Outstanding entries hold
-// completion closures and are unserializable by design, so the file must be
+// completion callbacks and load handles and are unserializable by design, so the file must be
 // drained first; memsys refuses to snapshot until it is.
 func (f *MSHRFile) SnapshotTo(w *snapshot.Writer) error {
 	w.Mark("mshr")

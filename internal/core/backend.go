@@ -29,6 +29,8 @@ func (c *Core) renameStage() {
 
 // feedFromBuffer injects the dependence chain as a loop (Section 4.3):
 // renamed at up to the superscalar width, front end gated.
+//
+//simlint:hotpath
 func (c *Core) feedFromBuffer() {
 	if c.now < c.ra.bufferReadyAt || c.ra.chain == nil || len(c.ra.chain.Uops) == 0 {
 		return
@@ -39,7 +41,7 @@ func (c *Core) feedFromBuffer() {
 			return
 		}
 		c.seq++
-		d := c.newDyn()
+		d := c.newDyn() //simlint:allow hotpathalloc -- pool miss only until the DynInst pool covers the window
 		d.Seq = c.seq
 		d.PC = cu.PC
 		d.Index = cu.Index
@@ -294,6 +296,8 @@ func (c *Core) execStore(d *DynInst) {
 // execLoad runs one cycle after issue (AGU): disambiguate against older
 // stores, forward, consult the runahead cache in runahead mode, then access
 // the memory hierarchy.
+//
+//simlint:hotpath
 func (c *Core) execLoad(d *DynInst) {
 	if d.Squashed || d.Executed {
 		return
@@ -374,12 +378,11 @@ func (c *Core) execLoad(d *DynInst) {
 	if d.memIssued {
 		return
 	}
-	// Fast path: an L1D hit needs no hierarchy callbacks at all. The hierarchy
-	// counts the access, the core stamps the outcome and schedules its own
-	// typed completion at the L1 latency — the closure pair below is built
-	// only for misses, where it earns its keep. (A hit can never be runahead's
-	// DRAM-bound blocking load, so the exit check in the miss path's callback
-	// has no analogue here.)
+	// Fast path: an L1D hit needs no hierarchy round trip at all. The
+	// hierarchy counts the access, the core stamps the outcome and schedules
+	// its own typed completion at the L1 latency. (A hit can never be
+	// runahead's DRAM-bound blocking load, so the exit check in LoadDone has
+	// no analogue here.)
 	if c.h.LoadHitR(c.memReq, d.EA) {
 		d.Value = value
 		d.MemLevel = memsys.LevelL1
@@ -390,54 +393,11 @@ func (c *Core) execLoad(d *DynInst) {
 		}
 		return
 	}
-	// The callbacks below can fire long after d has left the machine and its
-	// slot been recycled (pseudo-retire frees the runahead blocking load while
-	// its DRAM fill is still outstanding). gen gates every mutation of d; the
-	// captured seq and ea keep the machine-level effects — runahead exit and
-	// miss-age bookkeeping — correct independently of the slot's fate.
-	gen, seq, ea := d.gen, d.Seq, d.EA
-	ok := c.h.LoadR(c.memReq, c.now, ea, noWait,
-		func(int64) { // DRAM-bound miss discovered
-			line := ea &^ 63
-			if _, seen := c.missAge[line]; !seen {
-				if len(c.missAge) > 8192 {
-					clear(c.missAge)
-				}
-				c.missAge[line] = c.now
-			}
-			if d.gen != gen {
-				return
-			}
-			d.DRAMBound = true
-			// Classic runahead invalidates every load that misses to DRAM
-			// while in runahead mode, so the window can drain past it. Loads
-			// issued no-wait poison through their own completion path.
-			if c.ra.active && !noWait && !d.Executed && !d.Squashed && seq != c.ra.blockingSeq {
-				d.MemLevel = memsys.LevelMem
-				c.poisonComplete(d)
-			}
-		},
-		func(o memsys.Outcome) {
-			if c.ra.active && seq == c.ra.blockingSeq {
-				// The data that blocked the ROB is back: leave runahead.
-				c.ra.pendingExit = true
-			}
-			if d.gen != gen || d.Squashed || d.Executed {
-				return
-			}
-			d.MemLevel = o.Level
-			if noWait && o.Level == memsys.LevelMem {
-				if d.FromBuffer && c.ra.active {
-					c.ra.bufferMemLoads++
-				}
-				// Runahead: no data — mark invalid and move on.
-				c.poisonComplete(d)
-				return
-			}
-			d.Value = value
-			c.complete(d)
-		})
-	if !ok {
+	// A miss reports to the core's load sink (loadPort) under a by-value tag
+	// naming d with its gen and seq; see loadPort for why both are needed
+	// once the slot is recycled.
+	d.memNoWait, d.memValue = noWait, value
+	if !c.h.LoadR(c.memReq, c.now, d.EA, noWait, memsys.LoadTag{Ref: d, Gen: d.gen, Seq: d.Seq, Addr: d.EA}) {
 		c.st.LoadRetries++
 		c.schedule(c.now+1, evExecLoad, d)
 		return
@@ -446,6 +406,65 @@ func (c *Core) execLoad(d *DynInst) {
 	if d.Runahead {
 		c.st.RunaheadLoads++
 	}
+}
+
+// loadPort is the core's memsys.LoadSink: the Core under a private method
+// set, registered once per core, so load misses need no per-access
+// callbacks and the sink methods stay off Core's exported API.
+//
+// A tag can arrive long after its load left the machine and the slot was
+// recycled (pseudo-retire frees the runahead blocking load while its DRAM
+// fill is still outstanding). Gen gates every mutation of the DynInst; Seq
+// and Addr keep the machine-level effects — runahead exit and miss-age
+// bookkeeping — correct independently of the slot's fate.
+type loadPort Core
+
+// LoadMiss records that the load is DRAM-bound.
+func (p *loadPort) LoadMiss(t memsys.LoadTag, _ int64) {
+	c := (*Core)(p)
+	line := t.Addr &^ 63
+	if _, seen := c.missAge[line]; !seen {
+		if len(c.missAge) > 8192 {
+			clear(c.missAge)
+		}
+		c.missAge[line] = c.now
+	}
+	d := t.Ref.(*DynInst)
+	if d.gen != t.Gen {
+		return
+	}
+	d.DRAMBound = true
+	// Classic runahead invalidates every load that misses to DRAM while in
+	// runahead mode, so the window can drain past it. Loads issued no-wait
+	// poison through their own completion path.
+	if c.ra.active && !d.memNoWait && !d.Executed && !d.Squashed && t.Seq != c.ra.blockingSeq {
+		d.MemLevel = memsys.LevelMem
+		c.poisonComplete(d)
+	}
+}
+
+// LoadDone completes the load with its outcome.
+func (p *loadPort) LoadDone(t memsys.LoadTag, o memsys.Outcome) {
+	c := (*Core)(p)
+	if c.ra.active && t.Seq == c.ra.blockingSeq {
+		// The data that blocked the ROB is back: leave runahead.
+		c.ra.pendingExit = true
+	}
+	d := t.Ref.(*DynInst)
+	if d.gen != t.Gen || d.Squashed || d.Executed {
+		return
+	}
+	d.MemLevel = o.Level
+	if d.memNoWait && o.Level == memsys.LevelMem {
+		if d.FromBuffer && c.ra.active {
+			c.ra.bufferMemLoads++
+		}
+		// Runahead: no data — mark invalid and move on.
+		c.poisonComplete(d)
+		return
+	}
+	d.Value = d.memValue
+	c.complete(d)
 }
 
 // poisonComplete finishes a uop whose result is invalid (runahead poison).

@@ -11,17 +11,23 @@ import "runaheadsim/internal/isa"
 // youngest older producer. Producing loads additionally search the store
 // queue by address so spill/fill pairs pull the store (and its sources) into
 // the chain. Membership is tracked with a bit vector over ROB positions; the
-// final chain is read out in program order.
+// final chain is read out in program order into dst, whose storage is
+// reused. The bit vector and the search list live in the core's chainGen
+// scratch, so the walk allocates nothing.
 //
-// It returns the chain (nil only if match is nil), the number of
+// It returns the chain (dst, or nil only if match is nil), the number of
 // destination-CAM searches performed (for timing and energy), and whether
 // the walk was truncated by the MaxChainLength cap.
-func (c *Core) generateChain(match *DynInst) (ch *Chain, searches int, truncated bool) {
+//
+//simlint:hotpath
+func (c *Core) generateChain(match *DynInst, dst *Chain) (ch *Chain, searches int, truncated bool) {
 	if match == nil {
 		return nil, 0, false
 	}
 	n := c.rob.size()
-	inChain := make([]bool, n)
+	g := &c.chainGen
+	inChain := g.inChain[:n]
+	clear(inChain)
 	matchIdx := c.robIndexOf(match)
 	if matchIdx < 0 || matchIdx >= n {
 		return nil, 0, false
@@ -29,24 +35,11 @@ func (c *Core) generateChain(match *DynInst) (ch *Chain, searches int, truncated
 	inChain[matchIdx] = true
 	chainLen := 1
 
-	type want struct {
-		reg      isa.Reg
-		consumer int // ROB index of the consuming op; search strictly older
-	}
-	var srsl []want
-	enqueue := func(d *DynInst, idx int) {
-		for _, r := range d.U.SrcRegs(nil) {
-			if len(srsl) >= c.cfg.SRSLSize {
-				return // bounded hardware list; drop the rest
-			}
-			srsl = append(srsl, want{reg: r, consumer: idx})
-		}
-	}
-	enqueue(match, matchIdx)
+	g.srsl.reset()
+	g.enqueue(match, matchIdx)
 
-	for len(srsl) > 0 && chainLen < c.cfg.MaxChainLength {
-		w := srsl[0]
-		srsl = srsl[1:]
+	for g.srsl.n > 0 && chainLen < c.cfg.MaxChainLength {
+		w := g.srsl.pop()
 		searches++
 		c.st.DestCAMSearches++
 		// Youngest producer older than the consumer.
@@ -70,7 +63,7 @@ func (c *Core) generateChain(match *DynInst) (ch *Chain, searches int, truncated
 		}
 		inChain[prodIdx] = true
 		chainLen++
-		enqueue(p, prodIdx)
+		g.enqueue(p, prodIdx)
 
 		// Register fills: a producing load may take its value from an older
 		// store in the window (common for x86 spill/fill traffic).
@@ -84,24 +77,89 @@ func (c *Core) generateChain(match *DynInst) (ch *Chain, searches int, truncated
 				if !inChain[i] {
 					inChain[i] = true
 					chainLen++
-					enqueue(s, i)
+					g.enqueue(s, i)
 				}
 				break
 			}
 		}
 	}
-	truncated = len(srsl) > 0 || chainLen >= c.cfg.MaxChainLength
+	truncated = g.srsl.n > 0 || chainLen >= c.cfg.MaxChainLength
 
 	// Read the chain out of the ROB in program order.
-	ch = &Chain{BlockingPC: match.PC}
+	dst.BlockingPC = match.PC
+	dst.Uops = dst.Uops[:0]
 	for i := 0; i < n; i++ {
 		if !inChain[i] {
 			continue
 		}
 		e := c.rob.at(i)
-		ch.Uops = append(ch.Uops, ChainUop{U: *e.U, PC: e.PC, Index: e.Index})
+		dst.Uops = append(dst.Uops, ChainUop{U: *e.U, PC: e.PC, Index: e.Index})
 		c.st.ROBChainReads++
 	}
-	ch.Signature = chainSignature(ch.Uops)
-	return ch, searches, truncated
+	dst.Signature = chainSignature(dst.Uops)
+	return dst, searches, truncated
+}
+
+// chainGen is the core-owned scratch chain generation reuses on every
+// runahead entry: the membership bit vector over ROB positions, the source
+// register search list, and the two chains the walk reads out into — fresh
+// for the chain the interval runs, check for the Figure 13 comparison
+// against a chain-cache hit. Chain storage is sized to MaxChainLength, which
+// bounds every chain.
+type chainGen struct {
+	inChain      []bool
+	srsl         srslRing
+	regs         [2]isa.Reg // SrcRegs buffer for enqueue
+	fresh, check Chain
+}
+
+func newChainGen(cfg Config) chainGen {
+	return chainGen{
+		inChain: make([]bool, cfg.ROBSize),
+		srsl:    srslRing{buf: make([]srslEntry, cfg.SRSLSize)},
+		fresh:   Chain{Uops: make([]ChainUop, 0, cfg.MaxChainLength)},
+		check:   Chain{Uops: make([]ChainUop, 0, cfg.MaxChainLength)},
+	}
+}
+
+// enqueue appends d's source registers to the search list, dropping what
+// does not fit in the bounded hardware list.
+func (g *chainGen) enqueue(d *DynInst, idx int) {
+	for _, r := range d.U.SrcRegs(g.regs[:0]) {
+		if !g.srsl.push(srslEntry{reg: r, consumer: idx}) {
+			return
+		}
+	}
+}
+
+// srslEntry is one source register awaiting its producer search.
+type srslEntry struct {
+	reg      isa.Reg
+	consumer int // ROB index of the consuming op; search strictly older
+}
+
+// srslRing is the source-register search list: a FIFO bounded at
+// SRSLSize entries.
+type srslRing struct {
+	buf     []srslEntry
+	head, n int
+}
+
+func (q *srslRing) reset() { q.head, q.n = 0, 0 }
+
+// push appends e, reporting false when the list is full.
+func (q *srslRing) push(e srslEntry) bool {
+	if q.n == len(q.buf) {
+		return false
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = e
+	q.n++
+	return true
+}
+
+func (q *srslRing) pop() srslEntry {
+	e := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return e
 }

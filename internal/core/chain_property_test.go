@@ -67,7 +67,7 @@ func TestChainGenerationProperties(t *testing.T) {
 		if match == nil {
 			continue
 		}
-		ch, searches, truncated := c.generateChain(match)
+		ch, searches, truncated := c.generateChain(match, &c.chainGen.fresh)
 		if ch == nil {
 			t.Fatalf("seed %d: generation returned nil for a valid match", seed)
 		}

@@ -49,6 +49,8 @@ type chainCache struct {
 	HitCount, MissCount uint64
 }
 
+// chainCacheEntry is one cached chain. Its Uops storage is fixed at
+// construction (maxLen uops) and overwritten in place by Insert.
 type chainCacheEntry struct {
 	valid   bool
 	pc      uint64
@@ -56,11 +58,16 @@ type chainCacheEntry struct {
 	lastUse uint64
 }
 
-func newChainCache(entries int) *chainCache {
+func newChainCache(entries, maxLen int) *chainCache {
 	if entries <= 0 {
 		panic("core: chain cache needs at least one entry")
 	}
-	return &chainCache{entries: make([]chainCacheEntry, entries)}
+	cc := &chainCache{entries: make([]chainCacheEntry, entries)}
+	store := make([]ChainUop, entries*maxLen)
+	for i := range cc.entries {
+		cc.entries[i].chain.Uops = store[i*maxLen : i*maxLen : (i+1)*maxLen]
+	}
+	return cc
 }
 
 // Lookup returns the cached chain for the blocking PC.
@@ -78,8 +85,9 @@ func (cc *chainCache) Lookup(pc uint64) (*Chain, bool) {
 	return nil, false
 }
 
-// Insert stores a freshly generated chain, replacing any existing chain for
-// the same PC (one chain per PC) or the LRU entry.
+// Insert copies a freshly generated chain into the entry's own storage,
+// replacing any existing chain for the same PC (one chain per PC) or the
+// LRU entry. The entry keeps nothing of ch, so ch's storage may be reused.
 func (cc *chainCache) Insert(ch Chain) {
 	vi := 0
 	for i := range cc.entries {
@@ -96,7 +104,10 @@ func (cc *chainCache) Insert(ch Chain) {
 	}
 fill:
 	cc.stamp++
-	cc.entries[vi] = chainCacheEntry{valid: true, pc: ch.BlockingPC, chain: ch, lastUse: cc.stamp}
+	e := &cc.entries[vi]
+	e.valid, e.pc, e.lastUse = true, ch.BlockingPC, cc.stamp
+	e.chain.BlockingPC, e.chain.Signature = ch.BlockingPC, ch.Signature
+	e.chain.Uops = append(e.chain.Uops[:0], ch.Uops...)
 }
 
 // HitRate returns hits/(hits+misses).
@@ -119,12 +130,15 @@ func (ch *Chain) String() string {
 }
 
 // CachedChains returns copies of the chains currently resident in the chain
-// cache, oldest first (for inspection tools).
+// cache, oldest first (for inspection tools). The copies own their uops: the
+// entries' storage is overwritten in place by later inserts.
 func (cc *chainCache) CachedChains() []Chain {
 	var out []Chain
 	for _, e := range cc.entries {
 		if e.valid {
-			out = append(out, e.chain)
+			ch := e.chain
+			ch.Uops = append([]ChainUop(nil), e.chain.Uops...)
+			out = append(out, ch)
 		}
 	}
 	return out

@@ -114,6 +114,8 @@ type Core struct {
 	ra      raState
 	racache *raCache
 	ccache  *chainCache
+	//simlint:nosnapshot chain-generation scratch; a drained core is not in runahead, so no chain is live
+	chainGen chainGen
 
 	// missAge records, per line, the cycle at which the line's DRAM request
 	// was first issued. The first runahead enhancement ("issued to memory
@@ -215,10 +217,11 @@ func NewShared(cfg Config, p *prog.Program, h *memsys.Hierarchy, req int) *Core 
 		st:      newStats(),
 		fetchPC: p.AddrOf(0),
 		racache: newRACache(cfg.RACacheBytes, cfg.RACacheWays, cfg.RACacheLineBytes),
-		ccache:  newChainCache(cfg.ChainCacheEntries),
+		ccache:  newChainCache(cfg.ChainCacheEntries, cfg.MaxChainLength),
 		missAge: make(map[uint64]int64),
 		sched:   newIssueSched(cfg.NumPhysRegs),
 	}
+	c.chainGen = newChainGen(cfg)
 	for i := 0; i < isa.NumArchRegs; i++ {
 		c.prf.ready[i] = true
 	}
@@ -233,6 +236,7 @@ func NewShared(cfg Config, p *prog.Program, h *memsys.Hierarchy, req int) *Core 
 		c.flight = trace.NewRing(n)
 		c.flightIn = flightSampleEvery
 	}
+	h.SetLoadSink(req, (*loadPort)(c))
 	c.installMemHooks()
 	if metrics.Enabled {
 		regCoreMetrics() // instruments exist before the first warp observes one
@@ -309,7 +313,7 @@ func (c *Core) schedule(at int64, kind evKind, d *DynInst) {
 		at = c.now + 1
 	}
 	if at-c.now >= eventWindow {
-		panic("core: event scheduled beyond the event window")
+		panicEventWindow()
 	}
 	slot := at % eventWindow
 	c.events[slot] = append(c.events[slot], coreEvent{kind: kind, d: d, gen: d.gen, at: at})
@@ -516,6 +520,15 @@ func (c *Core) cycleBody() {
 //go:noinline
 func panicWarpedEvent(due, now int64) {
 	panic(fmt.Sprintf("core: event due at cycle %d fired at cycle %d (clock warped over a due event)", due, now))
+}
+
+// panicEventWindow reports an event scheduled past the event wheel — a
+// latency bug. Out of line so schedule, inlined into hot paths, carries no
+// panic value of its own.
+//
+//go:noinline
+func panicEventWindow() {
+	panic("core: event scheduled beyond the event window")
 }
 
 // WarpStats reports the clock warp's work: how many warps fired and how many

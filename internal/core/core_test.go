@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"runaheadsim/internal/isa"
+	"runaheadsim/internal/memsys"
 	"runaheadsim/internal/prog"
 )
 
@@ -259,6 +260,54 @@ func TestTraditionalRunaheadEntersAndHelps(t *testing.T) {
 	}
 }
 
+// spySink sits between the hierarchy and the core's load sink. For the
+// runahead blocking load's fill it checks what loadPort must guarantee when
+// the load has already been pseudo-retired and its slot recycled: the fill
+// still requests the runahead exit, and the recycled DynInst is untouched.
+type spySink struct {
+	t        *testing.T
+	c        *Core
+	recycled int // blocking-load fills that arrived after the slot recycled
+}
+
+func (s *spySink) LoadMiss(tag memsys.LoadTag, now int64) {
+	(*loadPort)(s.c).LoadMiss(tag, now)
+}
+
+func (s *spySink) LoadDone(tag memsys.LoadTag, o memsys.Outcome) {
+	d := tag.Ref.(*DynInst)
+	blocking := s.c.ra.active && tag.Seq == s.c.ra.blockingSeq
+	if !blocking || d.gen == tag.Gen {
+		(*loadPort)(s.c).LoadDone(tag, o)
+		return
+	}
+	s.recycled++
+	before := *d
+	(*loadPort)(s.c).LoadDone(tag, o)
+	if !s.c.ra.pendingExit {
+		s.t.Fatalf("blocking load %d filled after its slot recycled, but no runahead exit is pending", tag.Seq)
+	}
+	if *d != before {
+		s.t.Fatalf("fill for recycled blocking load %d mutated the slot's new occupant:\nbefore %+v\nafter  %+v", tag.Seq, before, *d)
+	}
+}
+
+// TestRecycledBlockingLoadFill pins the load-tag contract on the path that
+// needs it: traditional runahead pseudo-retires the blocking load, freeing
+// its DynInst while the DRAM fill is outstanding, and the fill arrives
+// under a stale gen.
+func TestRecycledBlockingLoadFill(t *testing.T) {
+	c := New(testConfig(ModeTraditional), gatherLoop(40))
+	spy := &spySink{t: t, c: c}
+	c.h.SetLoadSink(c.memReq, spy)
+	c.Run(20_000)
+	if c.st.RunaheadIntervals == 0 || spy.recycled == 0 {
+		t.Fatalf("no blocking-load fill arrived after its slot recycled (%d intervals); the check is vacuous",
+			c.st.RunaheadIntervals)
+	}
+	t.Logf("%d blocking-load fills arrived after the slot recycled, over %d intervals", spy.recycled, c.st.RunaheadIntervals)
+}
+
 func TestRunaheadBufferGeneratesMoreMLP(t *testing.T) {
 	// With a large loop body, traditional runahead spends fetch bandwidth on
 	// filler ops; the runahead buffer loops only the 8-uop chain.
@@ -428,7 +477,7 @@ func TestChainGenerationUnitWalk(t *testing.T) {
 	if match == nil {
 		t.Fatal("no other dynamic instance of the blocking PC in a tight loop")
 	}
-	ch, searches, truncated := c.generateChain(match)
+	ch, searches, truncated := c.generateChain(match, &c.chainGen.fresh)
 	if ch == nil || ch.Len() == 0 {
 		t.Fatal("chain generation failed")
 	}

@@ -52,6 +52,12 @@ type DynInst struct {
 	// memIssued records that the memory request for a load has been sent
 	// (prevents double issue across retries).
 	memIssued bool
+	// memNoWait and memValue belong to the load's outstanding memory
+	// request: whether it went out no-wait (issued in runahead), and the
+	// value read from the committed image at issue, which becomes Value
+	// when the data arrives.
+	memNoWait bool
+	memValue  int64
 
 	// Value and poison.
 	Value    int64
@@ -64,7 +70,7 @@ type DynInst struct {
 
 	// gen is the pool-reuse generation (see Core.newDyn). Every reference
 	// that can outlive the uop's window residency — scheduled events, memory
-	// completion callbacks, lazy scheduler entries — captures gen at creation
+	// load tags, lazy scheduler entries — captures gen at creation
 	// and ignores the reference when it no longer matches: the slot has been
 	// recycled for a different dynamic instruction.
 	gen uint64

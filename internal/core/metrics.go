@@ -62,7 +62,7 @@ type coreProf struct {
 		dynPoolHits, dynPoolNews                                   uint64
 		warps, warpedCycles, now, committed                        uint64
 		dramSkips, dramScans                                       uint64
-		mshrHits, mshrNews                                         uint64
+		mshrHits, mshrNews, mshrFull                               uint64
 		flightDropped                                              uint64
 	}
 }
@@ -84,6 +84,7 @@ var cm struct {
 
 	dramHorizonSkips, dramGrantScans *metrics.Counter
 	mshrPoolHits, mshrPoolNews       *metrics.Counter
+	mshrFullRejects                  *metrics.Counter
 	dynPoolHits, dynPoolNews         *metrics.Counter
 
 	flightDropped *metrics.Counter
@@ -110,6 +111,7 @@ func regCoreMetrics() {
 		cm.dramGrantScans = r.Counter("dram_grant_scans_total", "DRAM channel ticks that ran the full grant scan")
 		cm.mshrPoolHits = r.Counter("mshr_pool_hits_total", "MSHR allocations served from the recycle pool (all levels)")
 		cm.mshrPoolNews = r.Counter("mshr_pool_news_total", "MSHR allocations that hit the Go allocator (all levels)")
+		cm.mshrFullRejects = r.Counter("mshr_full_rejects_total", "MSHR allocations refused because the file was full (all levels; a retried access counts each time)")
 		cm.dynPoolHits = r.Counter("core_dyn_pool_hits_total", "DynInst allocations served from the recycle pool")
 		cm.dynPoolNews = r.Counter("core_dyn_pool_news_total", "DynInst allocations that hit the Go allocator")
 		cm.flightDropped = r.Counter("flight_overwritten_events_total", "flight-recorder events overwritten by ring wraparound")
@@ -162,6 +164,7 @@ func (c *Core) publishMetrics() {
 	llc := c.h.LLCMSHRFile()
 	pubDelta(cm.mshrPoolHits, l1i.PoolHits+l1d.PoolHits+llc.PoolHits, &p.mshrHits)
 	pubDelta(cm.mshrPoolNews, l1i.PoolNews+l1d.PoolNews+llc.PoolNews, &p.mshrNews)
+	pubDelta(cm.mshrFullRejects, l1i.PoolFull+l1d.PoolFull+llc.PoolFull, &p.mshrFull)
 
 	pubDelta(cm.dynPoolHits, c.prof.dynPoolHits, &p.dynPoolHits)
 	pubDelta(cm.dynPoolNews, c.prof.dynPoolNews, &p.dynPoolNews)

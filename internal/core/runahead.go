@@ -120,7 +120,7 @@ func (c *Core) tryEnterRunahead(d *DynInst) {
 	c.ra.entryCycle = c.now
 	c.ra.checkpointPC = d.PC
 	c.ra.ghrSnapshot = c.bp.GHR()
-	c.ra.rasSnapshot = c.bp.RAS().Snapshot()
+	c.bp.RAS().SnapshotInto(&c.ra.rasSnapshot)
 	c.ra.chain = chain
 	c.ra.bufferPos = 0
 	c.ra.bufferReadyAt = c.now + genCycles
@@ -178,11 +178,11 @@ func (c *Core) decideBuffer(d *DynInst) (useBuffer bool, chain *Chain, genCycles
 			// the ROB would generate right now? The comparison is free in
 			// hardware terms — undo its energy-event counts.
 			dest, sq, reads := c.st.DestCAMSearches, c.st.SQCAMSearches, c.st.ROBChainReads
-			fresh, _, _ := c.generateChain(match)
+			check, _, _ := c.generateChain(match, &c.chainGen.check)
 			c.st.DestCAMSearches, c.st.SQCAMSearches, c.st.ROBChainReads = dest, sq, reads
-			if fresh != nil {
+			if check != nil {
 				c.st.ChainCacheChecked++
-				if fresh.Signature == cached.Signature {
+				if check.Signature == cached.Signature {
 					c.st.ChainCacheExact++
 				}
 			}
@@ -190,7 +190,7 @@ func (c *Core) decideBuffer(d *DynInst) (useBuffer bool, chain *Chain, genCycles
 		}
 		c.st.ChainCacheMisses++
 	}
-	fresh, searches, truncated := c.generateChain(match)
+	fresh, searches, truncated := c.generateChain(match, &c.chainGen.fresh)
 	if fresh == nil {
 		c.st.ChainGenFailures++
 		return false, nil, 0

@@ -484,7 +484,11 @@ func (c *Core) restoreCoreFrom(r *snapshot.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		e.chain.Uops = make([]ChainUop, nu)
+		if nu < 0 || nu > cap(e.chain.Uops) {
+			r.Failf("core: cached chain of %d uops, cap %d", nu, cap(e.chain.Uops))
+			return r.Err()
+		}
+		e.chain.Uops = e.chain.Uops[:nu] // the entry's fixed storage
 		for j := range e.chain.Uops {
 			idx := r.Int()
 			pc := r.U64()

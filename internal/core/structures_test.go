@@ -106,7 +106,7 @@ func mkChain(pc uint64, n int) Chain {
 }
 
 func TestChainCacheHitMiss(t *testing.T) {
-	cc := newChainCache(2)
+	cc := newChainCache(2, 16)
 	if _, ok := cc.Lookup(0x100); ok {
 		t.Fatal("empty chain cache must miss")
 	}
@@ -124,7 +124,7 @@ func TestChainCacheHitMiss(t *testing.T) {
 }
 
 func TestChainCacheOneChainPerPC(t *testing.T) {
-	cc := newChainCache(2)
+	cc := newChainCache(2, 16)
 	cc.Insert(mkChain(0x100, 5))
 	cc.Insert(mkChain(0x100, 9)) // replaces, no path associativity
 	got, ok := cc.Lookup(0x100)
@@ -139,7 +139,7 @@ func TestChainCacheOneChainPerPC(t *testing.T) {
 }
 
 func TestChainCacheLRUReplacement(t *testing.T) {
-	cc := newChainCache(2)
+	cc := newChainCache(2, 16)
 	cc.Insert(mkChain(0x100, 1))
 	cc.Insert(mkChain(0x200, 1))
 	cc.Lookup(0x100) // 0x200 becomes LRU
@@ -179,7 +179,7 @@ func TestChainCachePanicsOnZeroEntries(t *testing.T) {
 			t.Fatal("zero-entry chain cache must panic")
 		}
 	}()
-	newChainCache(0)
+	newChainCache(0, 16)
 }
 
 // --- ROB ring ---------------------------------------------------------------

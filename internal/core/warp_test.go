@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"runaheadsim/internal/prog"
@@ -120,6 +121,54 @@ func TestClockWarpLockstepMemoryBound(t *testing.T) {
 	}
 	if frac := float64(skipped) / float64(c.Now()); frac < 0.5 {
 		t.Fatalf("warp skipped only %.1f%% of %d cycles on a DRAM-bound workload", frac*100, c.Now())
+	}
+}
+
+// TestAllocGateMemoryBound is the allocation gate for the load path and
+// runahead entry: once warm, a memory-bound core must allocate next to
+// nothing per committed uop. The cells cover MSHR-full load retries (mcf and
+// milc under the runahead buffer, where the replayed chain saturates the 32
+// L1D MSHRs), chain generation and the chain cache (omnetpp under RB+CC), and
+// traditional runahead's poison path (mcf). Each warms for 100k uops, then
+// counts heap allocations over the next 50k committed uops. The bound is one
+// malloc per 1,000 uops; what remains is map growth and first-touch pages of
+// the simulated memory image.
+//
+// Mallocs over the 50k-uop window, go1.24 linux/amd64:
+//
+//	cell           before  after
+//	mcf RB          24285      8
+//	milc RB         59509     35
+//	omnetpp RB+CC   33129      8
+//	mcf RA           7772      4
+//
+// "before" is the closure-per-load hierarchy interface this gate replaced.
+func TestAllocGateMemoryBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 600k simulated uops")
+	}
+	const warm, window = 100_000, 50_000
+	for _, cell := range []struct {
+		bench string
+		mode  Mode
+	}{
+		{"mcf", ModeBuffer},
+		{"milc", ModeBuffer},
+		{"omnetpp", ModeBufferCC},
+		{"mcf", ModeTraditional},
+	} {
+		c := New(testConfig(cell.mode), workload.MustLoad(cell.bench))
+		c.Run(warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Run(warm + window)
+		runtime.ReadMemStats(&after)
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("%s/%v: %d mallocs over %d uops", cell.bench, cell.mode, mallocs, window)
+		if mallocs > window/1000 {
+			t.Errorf("%s/%v: %d mallocs over %d committed uops, bound %d (1 per 1,000 uops)",
+				cell.bench, cell.mode, mallocs, window, window/1000)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ func TestNextEventIdle(t *testing.T) {
 	if ne := h.NextEvent(); ne != Never {
 		t.Fatalf("idle hierarchy NextEvent = %d, want Never", ne)
 	}
-	h.Load(0, 0x1000, false, nil, func(Outcome) {})
+	load(h, 0, 0x1000, false, nil, func(Outcome) {})
 	ne := h.NextEvent()
 	if ne != int64(h.cfg.L1Latency) {
 		t.Fatalf("NextEvent after a cold load = %d, want the L1 tag-check hop at %d", ne, h.cfg.L1Latency)
@@ -40,7 +40,7 @@ func TestNextEventDrivenMatchesPerCycle(t *testing.T) {
 		pending := len(addrs)
 		for i, a := range addrs {
 			i := i
-			if !h.Load(0, a, false, nil, func(o Outcome) {
+			if !load(h, 0, a, false, nil, func(o Outcome) {
 				got[i] = result{o.When, o.Level}
 				pending--
 			}) {
@@ -103,7 +103,7 @@ func TestLLCRetryMSHRFull(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Distinct lines spread across sets: all L1 and LLC misses.
 		addr := uint64(0x40000 + i*4096)
-		if !h.Load(0, addr, false, nil, func(Outcome) { done++ }) {
+		if !load(h, 0, addr, false, nil, func(Outcome) { done++ }) {
 			t.Fatal("load rejected in test setup")
 		}
 	}
@@ -153,7 +153,7 @@ func TestDRAMWaitOverflowRing(t *testing.T) {
 	const n = 24
 	done := 0
 	for i := 0; i < n; i++ {
-		if !h.Load(0, uint64(0x80000+i*4096), false, nil, func(Outcome) { done++ }) {
+		if !load(h, 0, uint64(0x80000+i*4096), false, nil, func(Outcome) { done++ }) {
 			t.Fatal("load rejected in test setup")
 		}
 	}

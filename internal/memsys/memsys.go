@@ -5,12 +5,13 @@
 // data values live in the functional memory image owned by the core.
 //
 // The hierarchy is driven by the core clock: call Tick once per cycle, and
-// issue accesses with Load/Store/Fetch. Completion is delivered through
-// callbacks carrying the cycle and the deepest level the access reached.
-// Loads may be issued "no-wait" (runahead semantics): the callback then
-// fires as soon as an LLC miss is discovered, while the fill itself keeps
-// going in the background — that background fill is exactly runahead's
-// prefetching effect.
+// issue accesses with Load/Store/Fetch. Completion is delivered with the
+// cycle and the deepest level the access reached: loads report to their
+// requestor's LoadSink under a by-value LoadTag, stores and fetches to a
+// callback the requester builds once. Loads may be issued "no-wait"
+// (runahead semantics): the load then completes as soon as an LLC miss is
+// discovered, while the fill itself keeps going in the background — that
+// background fill is exactly runahead's prefetching effect.
 //
 // The hierarchy is natively multi-requestor: NewShared builds one with N
 // private L1 front ends (per-requestor caches, MSHRs, and statistics)
@@ -45,6 +46,24 @@ const (
 
 // Outcome reports the completion of an access; see cache.Outcome.
 type Outcome = cache.Outcome
+
+// LoadTag identifies one load to its requestor's LoadSink; see
+// cache.LoadTag.
+type LoadTag = cache.LoadTag
+
+// LoadSink receives the notifications for one requestor's loads. The
+// requestor registers a single sink (SetLoadSink) and tags every load; the
+// hierarchy hands the tag back by value, so issuing a load allocates no
+// callback however often it misses or is refused.
+type LoadSink interface {
+	// LoadMiss reports, at cycle now, that the load is known to be
+	// DRAM-bound — the signal that lets a blocked ROB head trigger runahead
+	// without waiting for the data.
+	LoadMiss(t LoadTag, now int64)
+	// LoadDone completes the load. A no-wait load that goes to DRAM
+	// completes at miss discovery (Level Mem, no data), exactly once.
+	LoadDone(t LoadTag, o Outcome)
+}
 
 // Config describes the hierarchy.
 type Config struct {
@@ -104,12 +123,13 @@ const Never = int64(1<<63 - 1)
 // evKind discriminates the typed scheduled events. Events used to be
 // closures; on memory-bound runs the per-hop closure allocations dominated
 // the heap profile, so the payload now lives in the event value itself and
-// only the caller-provided completion callbacks remain funcs.
+// only the shared store and fetch callbacks remain funcs.
 type evKind uint8
 
 const (
 	evDone      evKind = iota // fire done(Outcome{h.now, lvl})
-	evMiss                    // fire miss(h.now)
+	evLoadDone                // req's sink: LoadDone(load, Outcome{h.now, lvl})
+	evLoadMiss                // req's sink: LoadMiss(load, h.now)
 	evLLCAccess               // llcAccess(req, line, rk)
 	evFillL1                  // fillL1(req, line, rk, false) — LLC-hit fill
 	evFillLLC                 // fillLLC(line, pf) — line arrived from DRAM
@@ -127,7 +147,7 @@ type event struct {
 	lvl   Level
 	pf    bool
 	done  func(Outcome)
-	miss  func(int64)
+	load  LoadTag
 }
 
 // fire dispatches the event at cycle h.now.
@@ -135,8 +155,10 @@ func (h *Hierarchy) fire(e *event) {
 	switch e.kind {
 	case evDone:
 		e.done(Outcome{When: h.now, Level: e.lvl, Line: e.line})
-	case evMiss:
-		e.miss(h.now)
+	case evLoadDone:
+		h.fr[e.req].loads.LoadDone(e.load, Outcome{When: h.now, Level: e.lvl, Line: e.line})
+	case evLoadMiss:
+		h.fr[e.req].loads.LoadMiss(e.load, h.now)
 	case evLLCAccess:
 		h.llcAccess(int(e.req), e.line, e.rk)
 	case evFillL1:
@@ -239,13 +261,13 @@ type ReqStats struct {
 	// arbiter; LLCArbWaitCycles sums the cycles those accesses queued past
 	// their L1→LLC transit, i.e. pure port contention. Both stay zero in a
 	// single-requestor hierarchy (no arbitration on that path).
-	LLCArbGrants      uint64
-	LLCArbWaitCycles  uint64
+	LLCArbGrants     uint64
+	LLCArbWaitCycles uint64
 }
 
 // front is one requestor's private L1 level: instruction and data caches,
-// their MSHR files, the cached fill callbacks, per-requestor statistics, and
-// the host's observability hook.
+// their MSHR files, the cached fill callbacks, the requestor's load sink,
+// per-requestor statistics, and the host's observability hook.
 type front struct {
 	l1i, l1d         *cache.Cache
 	l1iMSHR, l1dMSHR *cache.MSHRFile
@@ -257,12 +279,23 @@ type front struct {
 	fillL1Data  func(Outcome)
 	fillL1Instr func(Outcome)
 
+	// loads receives this requestor's load notifications; see SetLoadSink.
+	loads LoadSink
+
 	// onLLCMiss, when non-nil, is invoked on every LLC demand miss from this
 	// requestor, at miss discovery (before MSHR allocation). Host hook; the
 	// restoring host attaches its own.
 	onLLCMiss func(now int64, line uint64, instr bool)
 
 	st ReqStats
+}
+
+// llcRetryEntry is one demand miss waiting for a free LLC MSHR: the
+// arguments tryLLCMiss is retried with every Tick until it succeeds.
+type llcRetryEntry struct {
+	req  int
+	line uint64
+	kind reqKind
 }
 
 // arbEntry is one L1 miss queued at the shared-LLC arbiter. readyAt is the
@@ -313,9 +346,9 @@ func (a *llcArb) pop(r int) arbEntry {
 // Hierarchy is the assembled memory system: N private L1 front ends over one
 // shared LLC and DRAM controller (N == 1 for the single-core machine).
 type Hierarchy struct {
-	cfg  Config
-	fr   []front
-	arb  llcArb
+	cfg Config
+	fr  []front
+	arb llcArb
 
 	llc     *cache.Cache
 	llcMSHR *cache.MSHRFile
@@ -325,8 +358,8 @@ type Hierarchy struct {
 	events   eventHeap
 	seq      uint64
 	now      int64
-	dramWait reqRing       // overflow when the 64-entry memory queue is full
-	llcRetry []func() bool // demand misses waiting for a free LLC MSHR
+	dramWait reqRing         // overflow when the 64-entry memory queue is full
+	llcRetry []llcRetryEntry // demand misses waiting for a free LLC MSHR
 
 	// reqPool recycles dram.Request values: the controller hands each
 	// request back through its Release hook after the completion callback
@@ -436,8 +469,8 @@ func (h *Hierarchy) DRAM() *dram.Controller { return h.mem }
 func (h *Hierarchy) Prefetcher() prefetch.Engine { return h.pf }
 
 // L1D exposes requestor 0's L1 data cache; L1DR addresses any requestor.
-func (h *Hierarchy) L1D() *cache.Cache           { return h.fr[0].l1d }
-func (h *Hierarchy) L1DR(req int) *cache.Cache   { return h.fr[req].l1d }
+func (h *Hierarchy) L1D() *cache.Cache         { return h.fr[0].l1d }
+func (h *Hierarchy) L1DR(req int) *cache.Cache { return h.fr[req].l1d }
 
 // L1I exposes requestor 0's L1 instruction cache; L1IR addresses any
 // requestor.
@@ -449,6 +482,11 @@ func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
 // Req returns requestor req's statistics.
 func (h *Hierarchy) Req(req int) *ReqStats { return &h.fr[req].st }
+
+// SetLoadSink registers s as requestor req's load sink. Every load the
+// requestor issues reports to it, so it must be set before the first Load
+// and stay in place while any load is outstanding.
+func (h *Hierarchy) SetLoadSink(req int, s LoadSink) { h.fr[req].loads = s }
 
 // SetLLCMissHook installs (or, with nil, removes) requestor req's LLC
 // demand-miss hook: invoked at miss discovery, before MSHR allocation, so
@@ -542,13 +580,10 @@ func (h *Hierarchy) Tick(now int64) {
 	// Retry demand misses blocked on a full LLC MSHR file.
 	if len(h.llcRetry) > 0 {
 		kept := h.llcRetry[:0]
-		for _, try := range h.llcRetry {
-			if !try() {
-				kept = append(kept, try)
+		for _, e := range h.llcRetry {
+			if !h.tryLLCMiss(e.req, e.line, e.kind) {
+				kept = append(kept, e)
 			}
-		}
-		for i := len(kept); i < len(h.llcRetry); i++ {
-			h.llcRetry[i] = nil // don't retain satisfied retries in the tail
 		}
 		h.llcRetry = kept
 	}
@@ -667,20 +702,21 @@ func (h *Hierarchy) NextEvent() int64 {
 	return next
 }
 
-// Load issues requestor 0's data read; LoadR addresses any requestor.
+// Load issues requestor 0's data read; LoadR addresses any requestor. The
+// requestor's LoadSink hears about the load under tag t:
 //
-// onMiss (optional) fires as soon as the access is known to be DRAM-bound —
-// the signal that lets a blocked ROB head trigger runahead without waiting
-// for the data.
-//
-// When noWait is set (runahead semantics), done itself fires at miss
-// discovery (Level Mem, no data) instead of at data arrival, and the fill
-// continues in the background.
+//   - LoadMiss as soon as the access is known to be DRAM-bound — the signal
+//     that lets a blocked ROB head trigger runahead without waiting for the
+//     data.
+//   - LoadDone at data arrival. When noWait is set (runahead semantics) a
+//     DRAM-bound load instead completes at miss discovery (Level Mem, no
+//     data), and the fill continues in the background.
 //
 // Load reports false when the L1D MSHR file is full and the access must be
-// retried.
-func (h *Hierarchy) Load(now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
-	return h.LoadR(0, now, addr, noWait, onMiss, done)
+// retried; the refusal is counted in the file's Full statistic and nothing
+// is notified.
+func (h *Hierarchy) Load(now int64, addr uint64, noWait bool, t LoadTag) bool {
+	return h.LoadR(0, now, addr, noWait, t)
 }
 
 // LoadHit is the allocation-free fast path for the common L1D-hit case: if
@@ -703,57 +739,55 @@ func (h *Hierarchy) LoadHitR(req int, addr uint64) bool {
 	return true
 }
 
-func (h *Hierarchy) LoadR(req int, now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
+//simlint:hotpath
+func (h *Hierarchy) LoadR(req int, now int64, addr uint64, noWait bool, t LoadTag) bool {
 	f := &h.fr[req]
+	if f.loads == nil {
+		panicNoLoadSink(req)
+	}
 	h.Loads++
 	f.st.Loads++
 	if hit, _ := f.l1d.Lookup(addr); hit {
-		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelL1, line: f.l1d.LineAddr(addr), done: done})
+		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evLoadDone, req: int32(req), lvl: LevelL1, line: f.l1d.LineAddr(addr), load: t})
 		return true
 	}
 	line := f.l1d.LineAddr(addr)
 	if m, ok := f.l1dMSHR.Lookup(line); ok {
-		if onMiss != nil {
-			if m.FillFromMem {
-				h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evMiss, miss: onMiss})
-			} else {
-				m.EarlyMiss = append(m.EarlyMiss, onMiss)
-			}
+		if m.FillFromMem {
+			h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evLoadMiss, req: int32(req), load: t})
+		} else {
+			m.EarlyMiss = append(m.EarlyMiss, cache.EarlyMiss{Load: t})
 		}
 		if noWait {
 			// The line is already in flight; runahead treats it as a miss in
 			// progress and moves on without waiting.
 			f.l1dMSHR.Merge(m, true, cache.Waiter{})
-			h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelMem, done: done})
+			h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evLoadDone, req: int32(req), lvl: LevelMem, load: t})
 			return true
 		}
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done})
+		f.l1dMSHR.Merge(m, true, cache.Waiter{Load: t})
 		return true
 	}
-	if f.l1dMSHR.FullNow() {
+	m := f.l1dMSHR.Allocate(line, false)
+	if m == nil {
 		return false
 	}
-	m := f.l1dMSHR.Allocate(line, false)
-	if onMiss != nil {
-		m.EarlyMiss = append(m.EarlyMiss, onMiss)
-	}
-	if noWait {
-		notified := false
-		fire := func(o Outcome) {
-			if !notified {
-				notified = true
-				done(o)
-			}
-		}
-		// Early notification when the LLC lookup resolves as a miss; if the
-		// LLC hits instead, the normal fill path completes quickly.
-		m.EarlyMiss = append(m.EarlyMiss, func(cy int64) { fire(Outcome{When: cy, Level: LevelMem, Line: line}) })
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: fire})
-	} else {
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done})
-	}
+	// The allocating load's waiter is Waiters[0]. Under no-wait semantics its
+	// early-miss record also completes it when the LLC lookup resolves as a
+	// miss, clearing that waiter (see noteEarlyMiss); if the LLC hits
+	// instead, the normal fill path completes it quickly.
+	m.EarlyMiss = append(m.EarlyMiss, cache.EarlyMiss{Load: t, NoWait: noWait})
+	f.l1dMSHR.Merge(m, true, cache.Waiter{Load: t})
 	h.sendLLC(req, now, line, kindData)
 	return true
+}
+
+// panicNoLoadSink reports a load from a requestor that never registered a
+// sink, out of line so LoadR's hot path carries no formatting.
+//
+//go:noinline
+func panicNoLoadSink(req int) {
+	panic(fmt.Sprintf("memsys: requestor %d issued a load with no load sink (SetLoadSink)", req))
 }
 
 // Store issues requestor 0's data write (write-allocate, write-back); StoreR
@@ -777,10 +811,10 @@ func (h *Hierarchy) StoreR(req int, now int64, addr uint64, done func(Outcome)) 
 		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done, MarkDirty: true})
 		return true
 	}
-	if f.l1dMSHR.FullNow() {
+	m := f.l1dMSHR.Allocate(line, false)
+	if m == nil {
 		return false
 	}
-	m := f.l1dMSHR.Allocate(line, false)
 	f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done, MarkDirty: true})
 	h.sendLLC(req, now, line, kindData)
 	return true
@@ -805,10 +839,10 @@ func (h *Hierarchy) FetchR(req int, now int64, addr uint64, done func(Outcome)) 
 		f.l1iMSHR.Merge(m, true, cache.Waiter{Done: done})
 		return true
 	}
-	if f.l1iMSHR.FullNow() {
+	m := f.l1iMSHR.Allocate(line, false)
+	if m == nil {
 		return false
 	}
-	m := f.l1iMSHR.Allocate(line, false)
 	f.l1iMSHR.Merge(m, true, cache.Waiter{Done: done})
 	h.sendLLC(req, now, line, kindInstr)
 	return true
@@ -823,6 +857,8 @@ func fillLevel(m *cache.MSHR) Level {
 
 // llcAccess handles an L1-level miss (or a prefetch probe) arriving at the
 // shared LLC on behalf of requestor req.
+//
+//simlint:hotpath
 func (h *Hierarchy) llcAccess(req int, line uint64, kind reqKind) {
 	f := &h.fr[req]
 	demand := kind != kindPrefetch
@@ -860,15 +896,15 @@ func (h *Hierarchy) llcAccess(req int, line uint64, kind reqKind) {
 		return
 	}
 	if !h.tryLLCMiss(req, line, kind) {
-		// Only the back-pressured path pays for a closure; the common case
-		// (an MSHR is free) allocates nothing here.
-		h.llcRetry = append(h.llcRetry, func() bool { return h.tryLLCMiss(req, line, kind) })
+		h.llcRetry = append(h.llcRetry, llcRetryEntry{req: req, line: line, kind: kind})
 	}
 }
 
 // tryLLCMiss allocates the LLC MSHR for a demand miss and sends the fill to
 // DRAM. It reports false when the MSHR file is full and the miss must be
 // retried next Tick.
+//
+//simlint:hotpath
 func (h *Hierarchy) tryLLCMiss(req int, line uint64, kind reqKind) bool {
 	if m, ok := h.llcMSHR.Lookup(line); ok {
 		// While this miss sat in the retry backlog, another access to the
@@ -881,16 +917,16 @@ func (h *Hierarchy) tryLLCMiss(req int, line uint64, kind reqKind) bool {
 		h.attachL1Fill(req, m, kind)
 		return true
 	}
-	if h.llcMSHR.FullNow() {
+	m := h.llcMSHR.Allocate(line, false)
+	if m == nil {
 		return false
 	}
-	m := h.llcMSHR.Allocate(line, false)
 	m.Req = req
 	m.FillFromMem = true
 	h.attachL1Fill(req, m, kind)
 	h.DRAMReadsDemand++
 	h.fr[req].st.DRAMReadsDemand++
-	r := h.newReq(req, line, false)
+	r := h.newReq(req, line, false) //simlint:allow hotpathalloc -- pool miss only until the request pool covers the DRAM queue
 	r.DoneR = h.demandDone
 	h.enqueueDRAM(r)
 	return true
@@ -899,18 +935,30 @@ func (h *Hierarchy) tryLLCMiss(req int, line uint64, kind reqKind) bool {
 // noteEarlyMiss delivers runahead early-miss notifications for data misses
 // that are now known to be DRAM-bound. line arrives in the shared domain
 // and is mapped back to the requestor's local space for the L1 MSHR lookup.
+// A no-wait allocating load completes here too, once: its fill waiter is
+// cleared before the sink hears of it, so the fill skips it.
+//
+//simlint:hotpath
 func (h *Hierarchy) noteEarlyMiss(req int, line uint64, kind reqKind) {
 	if kind != kindData {
 		return
 	}
 	line &^= reqBase(req)
-	if m, ok := h.fr[req].l1dMSHR.Lookup(line); ok {
-		m.FillFromMem = true
-		for _, f := range m.EarlyMiss {
-			f(h.now)
-		}
-		m.EarlyMiss = nil
+	f := &h.fr[req]
+	m, ok := f.l1dMSHR.Lookup(line)
+	if !ok {
+		return
 	}
+	m.FillFromMem = true
+	for _, e := range m.EarlyMiss {
+		f.loads.LoadMiss(e.Load, h.now)
+		if e.NoWait {
+			m.Waiters[0] = cache.Waiter{}
+			f.loads.LoadDone(e.Load, Outcome{When: h.now, Level: LevelMem, Line: line})
+		}
+	}
+	clear(m.EarlyMiss)
+	m.EarlyMiss = m.EarlyMiss[:0]
 }
 
 // attachL1Fill arranges for requestor req's L1 fill when the LLC-level MSHR
@@ -936,6 +984,8 @@ func (h *Hierarchy) attachL1Fill(req int, m *cache.MSHR, kind reqKind) {
 // shared-domain line, mapped back to the requestor's local space here;
 // outcomes delivered to the core use the local line, matching the L1-hit
 // paths.
+//
+//simlint:hotpath
 func (h *Hierarchy) fillL1(req int, line uint64, kind reqKind, fromMem bool) {
 	f := &h.fr[req]
 	line &^= reqBase(req)
@@ -961,7 +1011,12 @@ func (h *Hierarchy) fillL1(req int, line uint64, kind reqKind, fromMem bool) {
 			if w.MarkDirty {
 				f.l1d.MarkDirty(line)
 			}
-			w.Done(o)
+			switch {
+			case w.Done != nil:
+				w.Done(o)
+			case w.Load.Ref != nil: // nil once a no-wait load completed early
+				f.loads.LoadDone(w.Load, o)
+			}
 		}
 		f.l1dMSHR.Recycle(m)
 	case kindInstr:
@@ -1027,10 +1082,10 @@ func (h *Hierarchy) issuePrefetch(req int, addr uint64) {
 	if _, ok := h.llcMSHR.Lookup(line); ok {
 		return
 	}
-	if h.llcMSHR.FullNow() {
+	m := h.llcMSHR.Allocate(line, true)
+	if m == nil {
 		return
 	}
-	m := h.llcMSHR.Allocate(line, true)
 	m.Req = req
 	h.DRAMReadsPrefetch++
 	h.fr[req].st.DRAMReadsPrefetch++

@@ -17,17 +17,40 @@ func drive(t *testing.T, h *Hierarchy, now *int64, budget int64, pred func() boo
 	t.Fatalf("condition not reached within %d cycles", budget)
 }
 
+// testLoad is the closure pair one test load reports to; funcSink routes
+// each tag back to its own pair, so tests keep writing per-load callbacks.
+type testLoad struct {
+	miss func(int64)
+	done func(Outcome)
+}
+
+type funcSink struct{}
+
+func (funcSink) LoadMiss(t LoadTag, now int64) {
+	if l := t.Ref.(*testLoad); l.miss != nil {
+		l.miss(now)
+	}
+}
+
+func (funcSink) LoadDone(t LoadTag, o Outcome) { t.Ref.(*testLoad).done(o) }
+
+// load issues requestor 0's load with closure callbacks (onMiss may be nil).
+func load(h *Hierarchy, now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
+	h.SetLoadSink(0, funcSink{})
+	return h.Load(now, addr, noWait, LoadTag{Ref: &testLoad{miss: onMiss, done: done}, Addr: addr})
+}
+
 func TestLoadL1Hit(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	var first, second *Outcome
-	h.Load(now, 0x1000, false, nil, func(o Outcome) { first = &o })
+	load(h, now, 0x1000, false, nil, func(o Outcome) { first = &o })
 	drive(t, h, &now, 10000, func() bool { return first != nil })
 	if first.Level != LevelMem {
 		t.Fatalf("cold load level = %v, want Mem", first.Level)
 	}
 	start := now
-	h.Load(now, 0x1000, false, nil, func(o Outcome) { second = &o })
+	load(h, now, 0x1000, false, nil, func(o Outcome) { second = &o })
 	drive(t, h, &now, 100, func() bool { return second != nil })
 	if second.Level != LevelL1 {
 		t.Fatalf("warm load level = %v, want L1", second.Level)
@@ -42,17 +65,17 @@ func TestLoadLLCHit(t *testing.T) {
 	var now int64
 	var warm *Outcome
 	done := false
-	h.Load(now, 0x2000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x2000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	// Evict from L1 by filling its set: L1D is 32KB/8-way/64B = 64 sets, so
 	// lines 8KB apart collide. 8 more fills push 0x2000 out.
 	for i := 1; i <= 8; i++ {
 		fillDone := false
-		h.Load(now, 0x2000+uint64(i*8192), false, nil, func(Outcome) { fillDone = true })
+		load(h, now, 0x2000+uint64(i*8192), false, nil, func(Outcome) { fillDone = true })
 		drive(t, h, &now, 10000, func() bool { return fillDone })
 	}
 	start := now
-	h.Load(now, 0x2000, false, nil, func(o Outcome) { warm = &o })
+	load(h, now, 0x2000, false, nil, func(o Outcome) { warm = &o })
 	drive(t, h, &now, 1000, func() bool { return warm != nil })
 	if warm.Level != LevelLLC {
 		t.Fatalf("level = %v, want LLC", warm.Level)
@@ -69,7 +92,7 @@ func TestColdMissLatencyIsDRAMBound(t *testing.T) {
 	var now int64
 	var o *Outcome
 	start := now
-	h.Load(now, 0x3000, false, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x3000, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	lat := o.When - start
 	// L1 + LLC tag checks plus a cold DRAM access (~104) and change.
@@ -85,8 +108,8 @@ func TestMSHRMergeNoDuplicateDRAM(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	count := 0
-	h.Load(now, 0x4000, false, nil, func(Outcome) { count++ })
-	h.Load(now, 0x4008, false, nil, func(Outcome) { count++ }) // same line
+	load(h, now, 0x4000, false, nil, func(Outcome) { count++ })
+	load(h, now, 0x4008, false, nil, func(Outcome) { count++ }) // same line
 	drive(t, h, &now, 10000, func() bool { return count == 2 })
 	if h.DRAMReadsDemand != 1 {
 		t.Fatalf("merged accesses issued %d DRAM reads, want 1", h.DRAMReadsDemand)
@@ -98,7 +121,7 @@ func TestNoWaitLoadNotifiesEarlyAndStillFills(t *testing.T) {
 	var now int64
 	var o *Outcome
 	start := now
-	h.Load(now, 0x5000, true, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x5000, true, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	if o.Level != LevelMem {
 		t.Fatalf("level = %v, want Mem", o.Level)
@@ -110,7 +133,7 @@ func TestNoWaitLoadNotifiesEarlyAndStillFills(t *testing.T) {
 	// The background fill must complete: wait, then the line hits in L1.
 	drive(t, h, &now, 10000, func() bool { return h.Drained() })
 	var warm *Outcome
-	h.Load(now, 0x5000, false, nil, func(x Outcome) { warm = &x })
+	load(h, now, 0x5000, false, nil, func(x Outcome) { warm = &x })
 	drive(t, h, &now, 100, func() bool { return warm != nil })
 	if warm.Level != LevelL1 {
 		t.Fatalf("after background fill, level = %v, want L1", warm.Level)
@@ -121,15 +144,15 @@ func TestNoWaitLoadLLCHitDeliversData(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0x6000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x6000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	for i := 1; i <= 8; i++ { // push out of L1 as above
 		fd := false
-		h.Load(now, 0x6000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
+		load(h, now, 0x6000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
 		drive(t, h, &now, 10000, func() bool { return fd })
 	}
 	var o *Outcome
-	h.Load(now, 0x6000, true, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x6000, true, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 1000, func() bool { return o != nil })
 	if o.Level != LevelLLC {
 		t.Fatalf("no-wait LLC hit level = %v, want LLC", o.Level)
@@ -146,7 +169,7 @@ func TestStoreWriteAllocateAndWriteback(t *testing.T) {
 	// the LLC (MarkDirty there, no DRAM write yet).
 	for i := 1; i <= 8; i++ {
 		fd := false
-		h.Load(now, 0x7000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
+		load(h, now, 0x7000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
 		drive(t, h, &now, 10000, func() bool { return fd })
 	}
 	if h.DRAMWrites != 0 {
@@ -184,7 +207,7 @@ func TestInclusionInvalidatesL1(t *testing.T) {
 	var now int64
 	load := func(addr uint64) {
 		done := false
-		h.Load(now, addr, false, nil, func(Outcome) { done = true })
+		load(h, now, addr, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 20000, func() bool { return done })
 	}
 	// LLC: 4KB/2way/64B = 32 sets; same-set stride = 2KB.
@@ -213,7 +236,7 @@ func TestPrefetcherGeneratesRequestsAndHits(t *testing.T) {
 	base := uint64(1 << 24)
 	for i := uint64(0); i < 32; i++ {
 		done := false
-		h.Load(now, base+i*64, false, nil, func(Outcome) { done = true })
+		load(h, now, base+i*64, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 20000, func() bool { return done })
 	}
 	if h.DRAMReadsPrefetch == 0 {
@@ -222,7 +245,7 @@ func TestPrefetcherGeneratesRequestsAndHits(t *testing.T) {
 	// With the stream established and fills done, later lines hit in LLC.
 	drive(t, h, &now, 50000, func() bool { return h.Drained() })
 	var o *Outcome
-	h.Load(now, base+33*64, false, nil, func(x Outcome) { o = &x })
+	load(h, now, base+33*64, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 1000, func() bool { return o != nil })
 	if o.Level == LevelMem {
 		t.Fatal("prefetched line should not miss to DRAM")
@@ -237,9 +260,9 @@ func TestL1DMSHRBackpressure(t *testing.T) {
 	cfg.L1DMSHRs = 2
 	h := New(cfg)
 	var now int64
-	ok1 := h.Load(now, 0x10000, false, nil, func(Outcome) {})
-	ok2 := h.Load(now, 0x20000, false, nil, func(Outcome) {})
-	ok3 := h.Load(now, 0x30000, false, nil, func(Outcome) {})
+	ok1 := load(h, now, 0x10000, false, nil, func(Outcome) {})
+	ok2 := load(h, now, 0x20000, false, nil, func(Outcome) {})
+	ok3 := load(h, now, 0x30000, false, nil, func(Outcome) {})
 	if !ok1 || !ok2 {
 		t.Fatal("loads within MSHR capacity must be accepted")
 	}
@@ -247,8 +270,147 @@ func TestL1DMSHRBackpressure(t *testing.T) {
 		t.Fatal("load beyond MSHR capacity must be rejected")
 	}
 	// Same-line access merges and is accepted even when full.
-	if !h.Load(now, 0x10008, false, nil, func(Outcome) {}) {
+	if !load(h, now, 0x10008, false, nil, func(Outcome) {}) {
 		t.Fatal("mergeable load must be accepted despite full MSHRs")
+	}
+}
+
+// TestL1DMSHRRefusalCounted fills the 32 L1D MSHRs and has one more load
+// refused: the refusal is counted once in the file's Full statistic and in
+// its never-reset PoolFull twin.
+func TestL1DMSHRRefusalCounted(t *testing.T) {
+	h := New(DefaultConfig())
+	_, l1d, _ := h.MSHRFiles()
+	var now int64
+	for i := 0; i < h.Config().L1DMSHRs; i++ {
+		if !load(h, now, uint64(0x100000+i*4096), false, nil, func(Outcome) {}) {
+			t.Fatalf("load %d refused with MSHRs free", i)
+		}
+	}
+	if l1d.Full != 0 {
+		t.Fatalf("Full = %d before any refusal", l1d.Full)
+	}
+	if load(h, now, 0x900000, false, nil, func(Outcome) {}) {
+		t.Fatal("load beyond MSHR capacity must be refused")
+	}
+	if l1d.Full != 1 || l1d.PoolFull != 1 {
+		t.Fatalf("Full, PoolFull = %d, %d after one refusal, want 1, 1", l1d.Full, l1d.PoolFull)
+	}
+}
+
+// sinkNote is one notification a recordingSink received.
+type sinkNote struct {
+	done bool // LoadDone, else LoadMiss
+	tag  LoadTag
+	when int64
+	lvl  Level // LoadDone only
+}
+
+type recordingSink struct{ notes []sinkNote }
+
+func (s *recordingSink) LoadMiss(t LoadTag, now int64) {
+	s.notes = append(s.notes, sinkNote{tag: t, when: now})
+}
+
+func (s *recordingSink) LoadDone(t LoadTag, o Outcome) {
+	s.notes = append(s.notes, sinkNote{done: true, tag: t, when: o.When, lvl: o.Level})
+}
+
+// TestLoadSinkNotifications drives the typed load interface through each
+// path that notifies a sink and checks the exact notification sequence:
+// every tag comes back by value, and each load hears at most one LoadMiss
+// and exactly one LoadDone.
+func TestLoadSinkNotifications(t *testing.T) {
+	const addr = 0x40000
+	type issue struct {
+		seq    uint64
+		noWait bool
+	}
+	// want lists (seq, done, level) in delivery order.
+	type want struct {
+		seq  uint64
+		done bool
+		lvl  Level
+	}
+	for _, tc := range []struct {
+		name string
+		warm bool // the line is in the L1D before the first load
+		// afterMiss issues the second load once the first is known to be
+		// DRAM-bound, so it merges into an MSHR marked FillFromMem.
+		afterMiss bool
+		loads     []issue
+		want      []want
+	}{
+		{name: "L1 hit", warm: true, loads: []issue{{seq: 1}},
+			want: []want{{1, true, LevelL1}}},
+		{name: "demand fill", loads: []issue{{seq: 1}},
+			want: []want{{1, false, 0}, {1, true, LevelMem}}},
+		{name: "no-wait allocation notifies once", loads: []issue{{seq: 1, noWait: true}},
+			want: []want{{1, false, 0}, {1, true, LevelMem}}},
+		{name: "merge into a DRAM-bound MSHR", afterMiss: true, loads: []issue{{seq: 1}, {seq: 2}},
+			want: []want{{1, false, 0}, {2, false, 0}, {1, true, LevelMem}, {2, true, LevelMem}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := New(DefaultConfig())
+			var now int64
+			if tc.warm {
+				warmed := false
+				load(h, now, addr, false, nil, func(Outcome) { warmed = true })
+				drive(t, h, &now, 2000, func() bool { return warmed })
+				now++
+			}
+			sink := &recordingSink{}
+			h.SetLoadSink(0, sink)
+			tags := map[uint64]LoadTag{}
+			issueAt := map[uint64]int64{}
+			for i, l := range tc.loads {
+				if i > 0 && tc.afterMiss {
+					drive(t, h, &now, 2000, func() bool { return len(sink.notes) > 0 })
+					now++
+				}
+				tag := LoadTag{Ref: &tc.loads[i], Gen: 7, Seq: l.seq, Addr: addr + 8*l.seq}
+				tags[l.seq], issueAt[l.seq] = tag, now
+				if !h.Load(now, tag.Addr, l.noWait, tag) {
+					t.Fatalf("load %d refused", l.seq)
+				}
+			}
+			drive(t, h, &now, 5000, h.Drained)
+			if len(sink.notes) != len(tc.want) {
+				t.Fatalf("got %d notifications %+v, want %d", len(sink.notes), sink.notes, len(tc.want))
+			}
+			missAt := map[uint64]int64{}
+			for i, w := range tc.want {
+				n := sink.notes[i]
+				if n.tag.Seq != w.seq || n.done != w.done || (w.done && n.lvl != w.lvl) {
+					t.Fatalf("notification %d = %+v, want %+v", i, n, w)
+				}
+				if n.tag != tags[w.seq] {
+					t.Fatalf("notification %d carries tag %+v, want %+v", i, n.tag, tags[w.seq])
+				}
+				if !w.done {
+					missAt[w.seq] = n.when
+				}
+			}
+			for _, n := range sink.notes {
+				if !n.done {
+					continue
+				}
+				switch l := *n.tag.Ref.(*issue); {
+				case tc.warm:
+					if n.when != issueAt[l.seq]+int64(h.Config().L1Latency) {
+						t.Fatalf("L1 hit completed at %d, issued at %d", n.when, issueAt[l.seq])
+					}
+				case l.noWait:
+					if n.when != missAt[l.seq] {
+						t.Fatalf("no-wait load completed at %d, not at miss discovery %d", n.when, missAt[l.seq])
+					}
+				default:
+					if n.when <= missAt[l.seq] {
+						t.Fatalf("demand load completed at %d, not after its miss at %d", n.when, missAt[l.seq])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -259,7 +421,7 @@ func TestManyOutstandingMissesOverlap(t *testing.T) {
 	var now int64
 	done := false
 	start := now
-	single.Load(now, 1<<20, false, nil, func(Outcome) { done = true })
+	load(single, now, 1<<20, false, nil, func(Outcome) { done = true })
 	drive(t, single, &now, 10000, func() bool { return done })
 	oneLat := now - start
 
@@ -268,7 +430,7 @@ func TestManyOutstandingMissesOverlap(t *testing.T) {
 	count := 0
 	for i := 0; i < 16; i++ {
 		// Spread across banks/channels.
-		if !h.Load(now2, uint64(1<<20)+uint64(i)*64*2, false, nil, func(Outcome) { count++ }) {
+		if !load(h, now2, uint64(1<<20)+uint64(i)*64*2, false, nil, func(Outcome) { count++ }) {
 			t.Fatal("load rejected")
 		}
 	}
@@ -284,7 +446,7 @@ func TestDeterminism(t *testing.T) {
 		var now int64
 		count := 0
 		for i := 0; i < 32; i++ {
-			h.Load(now, uint64(i)*4096, false, nil, func(Outcome) { count++ })
+			load(h, now, uint64(i)*4096, false, nil, func(Outcome) { count++ })
 		}
 		for now = 0; count < 32; now++ {
 			h.Tick(now)
@@ -308,7 +470,7 @@ func TestResetStatsPreservesCacheContents(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0x8000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x8000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	h.ResetStats()
 	if h.Loads != 0 || h.DRAMReadsDemand != 0 || h.L1D().Hits != 0 {
@@ -316,7 +478,7 @@ func TestResetStatsPreservesCacheContents(t *testing.T) {
 	}
 	// The line is still resident: the next access hits L1.
 	var o *Outcome
-	h.Load(now, 0x8000, false, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x8000, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 100, func() bool { return o != nil })
 	if o.Level != LevelL1 {
 		t.Fatalf("post-reset access level = %v, want L1 (state lost)", o.Level)
@@ -328,7 +490,7 @@ func TestOnMissFiresForDRAMBoundLoads(t *testing.T) {
 	var now int64
 	missAt := int64(-1)
 	var o *Outcome
-	h.Load(now, 0x9000, false, func(cy int64) { missAt = cy }, func(x Outcome) { o = &x })
+	load(h, now, 0x9000, false, func(cy int64) { missAt = cy }, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	if missAt < 0 {
 		t.Fatal("onMiss never fired for a DRAM-bound load")
@@ -341,11 +503,11 @@ func TestOnMissFiresForDRAMBoundLoads(t *testing.T) {
 	var now2 int64
 	var miss2 int64 = -1
 	got := 0
-	h2.Load(now2, 0xa000, false, nil, func(Outcome) { got++ })
+	load(h2, now2, 0xa000, false, nil, func(Outcome) { got++ })
 	for now2 = 0; now2 < 40; now2++ {
 		h2.Tick(now2)
 	}
-	h2.Load(now2, 0xa008, false, func(cy int64) { miss2 = cy }, func(Outcome) { got++ })
+	load(h2, now2, 0xa008, false, func(cy int64) { miss2 = cy }, func(Outcome) { got++ })
 	drive(t, h2, &now2, 10000, func() bool { return got == 2 })
 	if miss2 < 0 {
 		t.Fatal("merged load never learned it was DRAM-bound")
@@ -356,11 +518,11 @@ func TestOnMissNotCalledForHits(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0xb000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0xb000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	fired := false
 	done = false
-	h.Load(now, 0xb000, false, func(int64) { fired = true }, func(Outcome) { done = true })
+	load(h, now, 0xb000, false, func(int64) { fired = true }, func(Outcome) { done = true })
 	drive(t, h, &now, 100, func() bool { return done })
 	if fired {
 		t.Fatal("onMiss fired for an L1 hit")
@@ -390,8 +552,8 @@ func TestInclusionFoldsL1Dirtiness(t *testing.T) {
 	}
 	// Force the LLC set (stride 2KB) to evict line 0 while its dirty copy
 	// still sits in L1.
-	op(func(cb func(Outcome)) bool { return h.Load(now, 0x0800, false, nil, cb) })
-	op(func(cb func(Outcome)) bool { return h.Load(now, 0x1000, false, nil, cb) })
+	op(func(cb func(Outcome)) bool { return load(h, now, 0x0800, false, nil, cb) })
+	op(func(cb func(Outcome)) bool { return load(h, now, 0x1000, false, nil, cb) })
 	drive(t, h, &now, 30000, func() bool { return h.Drained() })
 	if h.L1D().Probe(0x0000) {
 		t.Fatal("inclusion violation")
@@ -422,7 +584,7 @@ func TestDeltaPrefetchKindWorks(t *testing.T) {
 	// A constant 5-line stride the delta engine should cover.
 	for i := uint64(0); i < 24; i++ {
 		done := false
-		h.Load(now, 1<<22+i*5*64, false, nil, func(Outcome) { done = true })
+		load(h, now, 1<<22+i*5*64, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 30000, func() bool { return done })
 	}
 	if h.DRAMReadsPrefetch == 0 {

@@ -7,8 +7,8 @@ import (
 )
 
 // SnapshotTo serializes the hierarchy. Scheduled events, MSHR waiters and
-// queued DRAM requests are closures and cannot be serialized, so the whole
-// hierarchy must be drained first (core.Drain runs the machine to such a
+// queued DRAM requests hold callbacks and requestor load handles that cannot
+// be serialized, so the whole hierarchy must be drained first (core.Drain runs the machine to such a
 // point). Layout: shared clock/seq, the requestor count, each front's L1
 // caches + MSHR files + per-requestor stats, then the shared LLC, LLC MSHRs,
 // DRAM, prefetcher, and aggregate stats. The prefetch engine kind is

@@ -3,6 +3,7 @@ package multicore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,5 +283,45 @@ func TestRestoreTopologyMismatch(t *testing.T) {
 	}
 	if _, err := RestoreCluster(snap, cfg, []*prog.Program{workload.MustLoad("milc")}); err == nil {
 		t.Fatal("2-core snapshot restored into a 1-core cluster without error")
+	}
+}
+
+// TestAllocGateMix is the cluster half of the allocation gate (see
+// core.TestAllocGateMemoryBound): the 4-core {mcf, milc, omnetpp,
+// libquantum} mix under the runahead buffer, where four cores' blocked loads
+// retry against full MSHRs and contend for the shared LLC. It warms 30k uops
+// per core, then runs until every core has committed 12.5k more (50k in all;
+// cores that finish early keep running, so the window commits more) and
+// bounds heap allocations at one per 1,000 committed uops.
+//
+// Over that window (252,251 committed uops), go1.24 linux/amd64: 648,084
+// mallocs with the closure-per-load hierarchy interface this gate replaced,
+// 143 after.
+func TestAllocGateMix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ~370k simulated uops")
+	}
+	const warm, window = 30_000, 12_500
+	var progs []*prog.Program
+	for _, b := range []string{"mcf", "milc", "omnetpp", "libquantum"} {
+		progs = append(progs, workload.MustLoad(b))
+	}
+	cl := New(testConfig(core.ModeBuffer), progs)
+	cl.Run(warm)
+	committed := func() (n uint64) {
+		for _, c := range cl.Cores() {
+			n += c.Stats().Committed
+		}
+		return n
+	}
+	start := committed()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl.Run(warm + window)
+	runtime.ReadMemStats(&after)
+	mallocs, uops := after.Mallocs-before.Mallocs, committed()-start
+	t.Logf("%d mallocs over %d uops", mallocs, uops)
+	if mallocs > uops/1000 {
+		t.Errorf("%d mallocs over %d committed uops, bound %d (1 per 1,000 uops)", mallocs, uops, uops/1000)
 	}
 }
