@@ -26,64 +26,68 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 
 	"runaheadsim/internal/harness"
-	"runaheadsim/internal/twin"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("runahead-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		uops     = flag.Uint64("uops", 150_000, "measured micro-ops per run")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		asJSON   = flag.Bool("json", false, "emit the verdict table as machine-readable JSON")
-		cpiStack = flag.Bool("cpi", false, "also emit the CPI-stack breakdown table")
-		cores    = flag.Int("cores", 0, "also emit the multi-programmed table for an N-core mix (0 = skip)")
-		mix      = flag.String("mix", "", "kernel mix for -cores, one per core (empty = default memory-bound rotation)")
+		uops     = fs.Uint64("uops", 150_000, "measured micro-ops per run")
+		quiet    = fs.Bool("q", false, "suppress progress output")
+		asJSON   = fs.Bool("json", false, "emit the verdict table as machine-readable JSON")
+		cpiStack = fs.Bool("cpi", false, "also emit the CPI-stack breakdown table")
+		cores    = fs.Int("cores", 0, "also emit the multi-programmed table for an N-core mix (0 = skip)")
+		mix      = fs.String("mix", "", "kernel mix for -cores, one per core (empty = default memory-bound rotation)")
 
-		sample    = flag.Bool("sample", false, "replace full detailed runs with checkpointed sampled intervals")
-		sMode     = flag.String("sample-mode", "even", "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
-		intervals = flag.Int("intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
-		sWindow   = flag.Uint64("sample-window", 0, "measured uops per sampled interval (0 = the whole region, split)")
-		sWarmup   = flag.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
-		sPhases   = flag.Int("phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
-		sBBV      = flag.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
-
-		useScreen = flag.Bool("screen", false, "screen runs through the calibrated analytical twin; only promoted pairs simulate in detail")
-		twinPath  = flag.String("twin", "twin_coeffs.json", "calibrated twin artifact for -screen (from runahead-sweep -calibrate)")
-		scTopK    = flag.Int("screen-topk", 3, "with -screen: promote the k largest twin-predicted RB-vs-baseline deltas")
-		scUnc     = flag.Float64("screen-uncertain", 10, "with -screen: promote benches whose calibration MAPE exceeds this %")
+		useScreen = fs.Bool("screen", false, "screen runs through the calibrated analytical twin; only promoted pairs simulate in detail")
+		twinPath  = fs.String("twin", "twin_coeffs.json", "calibrated twin artifact for -screen (from runahead-sweep -calibrate)")
+		scTopK    = fs.Int("screen-topk", 3, "with -screen: promote the k largest twin-predicted RB-vs-baseline deltas")
+		scUnc     = fs.Float64("screen-uncertain", 10, "with -screen: promote benches whose calibration MAPE exceeds this %")
 	)
-	flag.Parse()
+	sample := harness.RegisterSampleFlags(fs)
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	opts := harness.Options{MeasureUops: *uops}
-	if *sample {
-		if *sMode != harness.SampleEven && *sMode != harness.SamplePhase {
-			fmt.Fprintf(os.Stderr, "unknown -sample-mode %q (want even or phase)\n", *sMode)
-			os.Exit(2)
+	so, err := sample.Options(0)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	opts.Sample = so
+	var members []string
+	if *mix != "" {
+		members = strings.Split(*mix, ",")
+		if *cores > 0 && len(members) != *cores {
+			fmt.Fprintf(stderr, "-mix names %d kernels but -cores is %d\n", len(members), *cores)
+			return 2
 		}
-		opts.Sample = &harness.SampleOptions{Mode: *sMode, Intervals: *intervals,
-			WindowUops: *sWindow, WarmupUops: *sWarmup,
-			Phases: *sPhases, BBVWindows: *sBBV}
+	} else if *cores > 0 {
+		members = harness.DefaultMix(*cores)
 	}
 	if !*quiet {
 		opts.Progress = func(bench, config string) {
-			fmt.Fprintf(os.Stderr, "running %-12s %s\n", bench, config)
+			fmt.Fprintf(stderr, "running %-12s %s\n", bench, config)
 		}
 	}
 	r := harness.NewRunner(opts)
 	var sc *harness.Screen
 	if *useScreen {
-		model, err := twin.Load(*twinPath, harness.TwinFingerprint())
+		model, err := harness.LoadTwin(*twinPath, *uops, stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if model.MeasureUops != 0 && model.MeasureUops != *uops {
-			fmt.Fprintf(os.Stderr, "warning: %s was calibrated at %d measured uops, this report runs %d: accuracy scores do not transfer, consider recalibrating\n",
-				*twinPath, model.MeasureUops, *uops)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		plan := r.Plan(func(rr *harness.Runner) {
 			harness.Report(rr)
@@ -95,13 +99,13 @@ func main() {
 			Model: model, TopK: *scTopK, UncertainPct: *scUnc,
 		}, runtime.NumCPU())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		r.SetScreen(sc)
 	}
 	tables := []harness.Table{harness.Report(r)}
-	if *sample && *sMode == harness.SamplePhase {
+	if so != nil && so.Mode == harness.SamplePhase {
 		tables = append(tables, harness.SamplingTable(r))
 	}
 	if *cpiStack {
@@ -115,15 +119,7 @@ func main() {
 	// mode the mix results are emitted as their own objects with per-core
 	// stats keyed by core ID, not flattened into table rows.
 	var mixResults []*harness.MixResult
-	if *cores > 0 || *mix != "" {
-		members := harness.DefaultMix(*cores)
-		if *mix != "" {
-			members = strings.Split(*mix, ",")
-			if *cores > 0 && len(members) != *cores {
-				fmt.Fprintf(os.Stderr, "-mix names %d kernels but -cores is %d\n", len(members), *cores)
-				os.Exit(2)
-			}
-		}
+	if members != nil {
 		for _, rc := range harness.MixConfigs() {
 			mixResults = append(mixResults, r.RunMix(members, rc))
 		}
@@ -134,20 +130,21 @@ func main() {
 
 	for _, t := range tables {
 		if *asJSON {
-			if err := t.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := t.WriteJSON(stdout); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			continue
 		}
-		t.Render(os.Stdout)
+		t.Render(stdout)
 	}
 	if *asJSON {
 		for _, res := range mixResults {
-			if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := json.NewEncoder(stdout).Encode(res); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 	}
+	return 0
 }

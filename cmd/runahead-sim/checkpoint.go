@@ -1,125 +1,109 @@
 package main
 
-// Checkpoint/restore entry points: -checkpoint-out runs a benchmark, drains
-// the machine to quiescence, and serializes it; -restore rebuilds the
-// machine from those bytes and keeps simulating. The printed stats digest
-// lets a shell script verify restore fidelity against an uninterrupted run.
+// The paths that drive a harness.Session directly: -checkpoint-out runs a
+// benchmark, drains the machine to quiescence, and serializes it; -restore
+// rebuilds the machine from those bytes and keeps simulating (the printed
+// stats digest lets a script verify restore fidelity against an
+// uninterrupted run); -trace steps a fresh machine with a pipeline tracer
+// attached.
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/harness"
+	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
+	"runaheadsim/internal/trace"
 	"runaheadsim/internal/workload"
 )
 
-// buildConfig translates the CLI mode flags into a core configuration.
-func buildConfig(mode string, pf, enh bool, pfKind string) (core.Config, error) {
-	cfg := core.DefaultConfig()
-	m, err := core.ParseMode(mode)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Mode = m
-	cfg.Enhancements = enh
-	cfg.Mem.EnablePrefetch = pf
-	cfg.Mem.PrefetchKind = pfKind
-	return cfg, nil
+// machine is one benchmark under one configuration, as the flags name it.
+type machine struct {
+	opts        harness.Options
+	bench, mode string
+	rc          harness.RunConfig
+	p           *prog.Program
+	stdout      io.Writer
 }
 
-// autoWarmup mirrors the harness default: small-footprint benchmarks need
-// their arrays wrapped before steady state emerges.
-func autoWarmup(bench string, warmup uint64) uint64 {
-	if warmup > 0 {
-		return warmup
-	}
-	if spec, ok := workload.SpecOf(bench); ok && spec.Class == workload.Low {
-		return 500_000
-	}
-	return 100_000
-}
-
-// checkpointRun simulates warmup+uops micro-ops, drains, and writes the
-// snapshot. Returns a process exit code.
-func checkpointRun(bench, mode string, pf, enh bool, pfKind string, uops, warmup uint64, outFile string, check bool) int {
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
+func newMachine(opts harness.Options, bench, mode string, enh, pf bool, stdout io.Writer) (machine, error) {
+	cm, err := core.ParseMode(mode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return machine{}, err
 	}
 	p, err := workload.Load(bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	c := core.New(cfg, p)
-	var chk *simcheck.Checker
-	if check {
-		chk = simcheck.Attach(c, p, simcheck.Options{})
-	}
-	w := autoWarmup(bench, warmup)
-	st := c.Run(w + uops)
-	if err := c.Drain(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if chk != nil {
-		chk.Finish()
-	}
-	data, err := c.Snapshot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := os.WriteFile(outFile, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("checkpoint          %s (%d bytes)\n", outFile, len(data))
-	fmt.Printf("benchmark           %s, mode %s\n", bench, mode)
-	fmt.Printf("committed uops      %d in %d cycles (drained)\n", st.Committed, c.Now())
-	fmt.Printf("resume pc           %#x\n", c.FetchPC())
-	fmt.Printf("stats digest        %#x\n", simcheck.StatsDigest(c.Stats()))
-	return 0
+	rc := harness.RunConfig{Mode: cm, Enhancements: enh, Prefetch: pf}
+	return machine{opts: opts, bench: bench, mode: mode, rc: rc, p: p, stdout: stdout}, err
 }
 
-// restoreRun rebuilds a machine from a snapshot and simulates uops more
-// micro-ops from the restore point with fresh statistics.
-func restoreRun(file, bench, mode string, pf, enh bool, pfKind string, uops uint64, check bool) int {
+// checkpoint simulates warmup+uops micro-ops, drains, and writes the
+// snapshot to file.
+func (m machine) checkpoint(file string) error {
+	s, err := harness.NewSession(m.opts, m.bench, m.rc, m.p, harness.Start{})
+	if err != nil {
+		return err
+	}
+	data, st, err := s.Checkpoint()
+	if err == nil {
+		err = os.WriteFile(file, data, 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	c := s.Core()
+	fmt.Fprintf(m.stdout, "checkpoint          %s (%d bytes)\n", file, len(data))
+	fmt.Fprintf(m.stdout, "benchmark           %s, mode %s\n", m.bench, m.mode)
+	fmt.Fprintf(m.stdout, "committed uops      %d in %d cycles (drained)\n", st.Committed, c.Now())
+	fmt.Fprintf(m.stdout, "resume pc           %#x\n", c.FetchPC())
+	fmt.Fprintf(m.stdout, "stats digest        %#x\n", simcheck.StatsDigest(st))
+	return nil
+}
+
+// restore rebuilds a machine from the snapshot in file and simulates uops
+// more micro-ops from the restore point with fresh statistics.
+func (m machine) restore(file string) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
+	s, err := harness.NewSession(m.opts, m.bench, m.rc, m.p, harness.FromSnapshot(data))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	p, err := workload.Load(bench)
+	fmt.Fprintf(m.stdout, "restored            %s at cycle %d, pc %#x\n", file, s.Core().Now(), s.Core().FetchPC())
+	st := s.Measure(0, m.opts.MeasureUops).Stats
+	fmt.Fprintf(m.stdout, "benchmark           %s, mode %s\n", m.bench, m.mode)
+	fmt.Fprintf(m.stdout, "committed uops      %d in %d cycles\n", st.Committed, st.Cycles)
+	fmt.Fprintf(m.stdout, "IPC                 %.3f\n", st.IPC())
+	fmt.Fprintf(m.stdout, "stats digest        %#x\n", simcheck.StatsDigest(st))
+	return nil
+}
+
+// trace emits a cycle-by-cycle pipeline trace of the first cycles cycles
+// (10,000 when unset) in the given format, to out or stdout.
+func (m machine) trace(cycles int64, format, out string) error {
+	if cycles <= 0 {
+		cycles = 10_000
+	}
+	w := m.stdout
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	sink, err := trace.NewSink(format, w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	c, err := core.RestoreCore(data, cfg, p)
+	s, err := harness.NewSession(m.opts, m.bench, m.rc, m.p, harness.Start{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	fmt.Printf("restored            %s at cycle %d, pc %#x\n", file, c.Now(), c.FetchPC())
-	var chk *simcheck.Checker
-	if check {
-		chk = simcheck.AttachResumed(c, p, simcheck.Options{})
-	}
-	c.ResetStats()
-	st := c.Run(uops)
-	if chk != nil {
-		chk.Finish()
-	}
-	fmt.Printf("benchmark           %s, mode %s\n", bench, mode)
-	fmt.Printf("committed uops      %d in %d cycles\n", st.Committed, st.Cycles)
-	fmt.Printf("IPC                 %.3f\n", st.IPC())
-	fmt.Printf("stats digest        %#x\n", simcheck.StatsDigest(st))
-	return 0
+	return s.Trace(sink, cycles)
 }

@@ -5,6 +5,10 @@
 //
 //	runahead-sim -bench mcf -mode hybrid
 //	runahead-sim -bench sphinx3 -mode runahead-buffer+cc -pf -uops 300000
+//	runahead-sim -bench mcf -all-modes
+//	runahead-sim -bench mcf -trace 2000 -trace-format chrome -trace-out mcf.json
+//	runahead-sim -bench mcf -mode hybrid -checkpoint-out mcf.rsnp
+//	runahead-sim -bench mcf -mode hybrid -restore mcf.rsnp
 //	runahead-sim -list
 package main
 
@@ -13,112 +17,87 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"strings"
 
 	"runaheadsim"
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/harness"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/stats"
 	"runaheadsim/internal/telemetry"
-	"runaheadsim/internal/trace"
 	"runaheadsim/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// modeNames renders the -mode choices from the core's mode table.
+func modeNames() string {
+	var names []string
+	for m := core.ModeNone; m <= core.ModeAdaptive; m++ {
+		names = append(names, m.String())
+	}
+	return strings.Join(names, " | ")
+}
+
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("runahead-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench  = flag.String("bench", "mcf", "benchmark name (see -list)")
-		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid | adaptive-hybrid")
-		pf     = flag.Bool("pf", false, "enable the stream prefetcher")
-		pfkind = flag.String("pfkind", "stream", "prefetch engine: stream | delta (with -pf and -trace only)")
-		enh    = flag.Bool("enh", false, "enable the runahead efficiency enhancements")
-		uops   = flag.Uint64("uops", 150_000, "measured micro-ops")
-		warmup = flag.Uint64("warmup", 0, "warmup micro-ops (0 = automatic)")
-		dump   = flag.Bool("stats", false, "dump raw counters")
-		chains = flag.Bool("dumpchains", false, "print the dependence chains left in the chain cache")
-		trace  = flag.Int64("trace", 0, "emit a cycle-by-cycle pipeline trace for the first N cycles")
-		trFmt  = flag.String("trace-format", "", "trace format: text | jsonl | chrome (implies -trace 10000 when -trace is unset)")
-		trOut  = flag.String("trace-out", "", "write the trace to this file (default stdout)")
-		tlEach = flag.Int64("timeline", 0, "sample IPC/occupancy/mode every N cycles and export the timeline")
-		tlOut  = flag.String("timeline-out", "", "write the timeline to this file (default stdout)")
-		tlFmt  = flag.String("timeline-format", "csv", "timeline format: csv | json")
-		check  = flag.Bool("check", simcheck.TagEnabled, "run the simcheck sanitizer (lockstep oracle + structural invariants)")
-		ckOut  = flag.String("checkpoint-out", "", "simulate warmup+uops, drain, and write a machine snapshot to this file")
-		restr  = flag.String("restore", "", "restore a machine snapshot (same -bench/-mode flags) and simulate -uops more micro-ops")
-		list   = flag.Bool("list", false, "list benchmarks and exit")
-		all    = flag.Bool("all-modes", false, "run every runahead mode on the benchmark and print a comparison")
-		pipe   = flag.Bool("pipeline", false, "print the Figure 6 pipeline diagram and exit")
-		disasm = flag.Bool("disasm", false, "print the benchmark's program listing and exit")
-		showEn = flag.Bool("energy", false, "print the energy breakdown by component")
-		tele   = flag.String("telemetry-addr", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. 127.0.0.1:8080)")
-		wdog   = flag.Int64("watchdog", 0, "override the deadlock watchdog: no-progress cycle budget (<0 disables, 0 = default)")
-		fdump  = flag.String("flight-dump", ".", "directory for flight-recorder crash dumps (empty disables)")
+		bench  = fs.String("bench", "mcf", "benchmark name (see -list)")
+		mode   = fs.String("mode", "baseline", modeNames())
+		pf     = fs.Bool("pf", false, "enable the stream prefetcher")
+		enh    = fs.Bool("enh", false, "enable the runahead efficiency enhancements")
+		uops   = fs.Uint64("uops", 150_000, "measured micro-ops")
+		warmup = fs.Uint64("warmup", 0, "warmup micro-ops (0 = automatic)")
+		dump   = fs.Bool("stats", false, "dump raw counters")
+		chains = fs.Bool("dumpchains", false, "print the dependence chains left in the chain cache")
+		trCyc  = fs.Int64("trace", 0, "emit a cycle-by-cycle pipeline trace for the first N cycles")
+		trFmt  = fs.String("trace-format", "", "trace format: text | jsonl | chrome (implies -trace 10000 when -trace is unset)")
+		trOut  = fs.String("trace-out", "", "write the trace to this file (default stdout)")
+		tlEach = fs.Int64("timeline", 0, "sample IPC/occupancy/mode every N cycles and export the timeline")
+		tlOut  = fs.String("timeline-out", "", "write the timeline to this file (default stdout)")
+		tlFmt  = fs.String("timeline-format", "csv", "timeline format: csv | json")
+		check  = fs.Bool("check", simcheck.TagEnabled, "run the simcheck sanitizer (lockstep oracle + structural invariants)")
+		ckOut  = fs.String("checkpoint-out", "", "simulate warmup+uops, drain, and write a machine snapshot to this file")
+		restr  = fs.String("restore", "", "restore a machine snapshot (same -bench/-mode flags) and simulate -uops more micro-ops")
+		list   = fs.Bool("list", false, "list benchmarks and exit")
+		all    = fs.Bool("all-modes", false, "run every runahead mode on the benchmark and print a comparison")
+		pipe   = fs.Bool("pipeline", false, "print the Figure 6 pipeline diagram and exit")
+		disasm = fs.Bool("disasm", false, "print the benchmark's program listing and exit")
+		showEn = fs.Bool("energy", false, "print the energy breakdown by component")
+		tele   = fs.String("telemetry-addr", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. 127.0.0.1:8080)")
+		wdog   = fs.Int64("watchdog", 0, "override the deadlock watchdog: no-progress cycle budget (<0 disables, 0 = default)")
+		fdump  = fs.String("flight-dump", ".", "directory for flight-recorder crash dumps (empty disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	// A dying simulation panics with full context (watchdog trips, simcheck
 	// violations); by then the flight recorder has already been dumped.
 	// Surface it as a clean fatal error instead of a raw Go traceback.
 	defer func() {
 		if rec := recover(); rec != nil {
-			fmt.Fprintf(os.Stderr, "runahead-sim: fatal: %v\n", rec)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "runahead-sim: fatal: %v\n", rec)
+			code = 2
 		}
 	}()
 
-	var tracker *telemetry.Tracker
+	opts := harness.Options{MeasureUops: *uops, WarmupUops: *warmup, Check: *check,
+		WatchdogCycles: *wdog, FlightDumpDir: *fdump}
 	if *tele != "" {
-		tracker = telemetry.NewTracker()
+		tracker := telemetry.NewTracker()
 		srv, err := telemetry.Start(*tele, nil, tracker)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics /progress /healthz /debug/pprof/\n", srv.Addr())
-	}
-
-	if *list {
-		for _, n := range runaheadsim.Benchmarks() {
-			fmt.Println(n)
-		}
-		return
-	}
-
-	if *pipe {
-		fmt.Print(pipelineDiagram)
-		return
-	}
-
-	if *all {
-		compareModes(*bench, *pf, *uops, *warmup, *wdog, *fdump)
-		return
-	}
-
-	if *disasm {
-		p, err := workload.Load(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(prog.Disasm(p))
-		return
-	}
-
-	if *ckOut != "" {
-		os.Exit(checkpointRun(*bench, *mode, *pf, *enh, *pfkind, *uops, *warmup, *ckOut, *check))
-	}
-	if *restr != "" {
-		os.Exit(restoreRun(*restr, *bench, *mode, *pf, *enh, *pfkind, *uops, *check))
-	}
-
-	if *trace > 0 || *trFmt != "" || *trOut != "" {
-		cycles := *trace
-		if cycles <= 0 {
-			cycles = 10_000
-		}
-		tracePipeline(*bench, *mode, *pf, *enh, *pfkind, cycles, *trFmt, *trOut, *check, *wdog, *fdump)
-		return
+		fmt.Fprintf(stderr, "telemetry: http://%s/metrics /progress /healthz /debug/pprof/\n", srv.Addr())
+		opts.Monitor = tracker
 	}
 
 	rcfg := runaheadsim.Config{
@@ -132,64 +111,101 @@ func main() {
 		Check:            *check,
 		WatchdogCycles:   *wdog,
 		FlightDumpDir:    *fdump,
+		Monitor:          opts.Monitor,
 	}
-	if tracker != nil {
-		rcfg.Monitor = tracker
-	}
-	res, err := runaheadsim.Run(rcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	switch {
+	case *list:
+		for _, n := range runaheadsim.Benchmarks() {
+			fmt.Fprintln(stdout, n)
+		}
+		return 0
+	case *pipe:
+		fmt.Fprint(stdout, pipelineDiagram)
+		return 0
+	case *all:
+		return compareModes(rcfg, stdout, stderr)
+	case *disasm:
+		p, err := workload.Load(*bench)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprint(stdout, prog.Disasm(p))
+		return 0
+	case *ckOut != "" || *restr != "" || *trCyc > 0 || *trFmt != "" || *trOut != "":
+		m, err := newMachine(opts, *bench, *mode, *enh, *pf, stdout)
+		switch {
+		case err != nil:
+		case *ckOut != "":
+			err = m.checkpoint(*ckOut)
+		case *restr != "":
+			err = m.restore(*restr)
+		default:
+			err = m.trace(*trCyc, *trFmt, *trOut)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 
-	fmt.Printf("benchmark          %s\n", res.Benchmark)
-	fmt.Printf("mode               %s (prefetcher=%v)\n", res.Mode, *pf)
-	fmt.Printf("committed uops     %d in %d cycles\n", res.Committed, res.Cycles)
-	fmt.Printf("IPC                %.3f (%+.1f%% vs no-PF baseline)\n", res.IPC, res.IPCDeltaPct)
-	fmt.Printf("MPKI               %.1f\n", res.MPKI)
-	fmt.Printf("memory stall       %.1f%% of cycles\n", res.MemStallPct)
-	fmt.Printf("energy             %.1f uJ (%+.1f%% vs baseline)\n", res.EnergyUJ, res.EnergyDeltaPct)
-	fmt.Printf("DRAM requests      %d (%+.1f%% vs baseline)\n", res.DRAMRequests, res.TrafficDeltaPct)
+	res, err := runaheadsim.Run(rcfg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+
+	w := stdout
+	fmt.Fprintf(w, "benchmark          %s\n", res.Benchmark)
+	fmt.Fprintf(w, "mode               %s (prefetcher=%v)\n", res.Mode, *pf)
+	fmt.Fprintf(w, "committed uops     %d in %d cycles\n", res.Committed, res.Cycles)
+	fmt.Fprintf(w, "IPC                %.3f (%+.1f%% vs no-PF baseline)\n", res.IPC, res.IPCDeltaPct)
+	fmt.Fprintf(w, "MPKI               %.1f\n", res.MPKI)
+	fmt.Fprintf(w, "memory stall       %.1f%% of cycles\n", res.MemStallPct)
+	fmt.Fprintf(w, "energy             %.1f uJ (%+.1f%% vs baseline)\n", res.EnergyUJ, res.EnergyDeltaPct)
+	fmt.Fprintf(w, "DRAM requests      %d (%+.1f%% vs baseline)\n", res.DRAMRequests, res.TrafficDeltaPct)
 	if res.RunaheadIntervals > 0 {
-		fmt.Printf("runahead           %d intervals, %.1f misses/interval\n",
+		fmt.Fprintf(w, "runahead           %d intervals, %.1f misses/interval\n",
 			res.RunaheadIntervals, res.MissesPerInterval)
 		if res.RunaheadBufferCycles > 0 {
-			fmt.Printf("buffer cycles      %d (%.1f%% of run)\n", res.RunaheadBufferCycles,
+			fmt.Fprintf(w, "buffer cycles      %d (%.1f%% of run)\n", res.RunaheadBufferCycles,
 				100*float64(res.RunaheadBufferCycles)/float64(res.Cycles))
 		}
 		if res.ChainCacheHitRate > 0 {
-			fmt.Printf("chain cache        %.1f%% hit rate\n", 100*res.ChainCacheHitRate)
+			fmt.Fprintf(w, "chain cache        %.1f%% hit rate\n", 100*res.ChainCacheHitRate)
 		}
 	}
 	if *showEn {
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, comp := range res.EnergyBreakdown.Components() {
-			fmt.Printf("energy %-28s %10.2f uJ (%4.1f%%)\n", comp.Name, comp.UJ, 100*comp.UJ/res.EnergyUJ)
+			fmt.Fprintf(w, "energy %-28s %10.2f uJ (%4.1f%%)\n", comp.Name, comp.UJ, 100*comp.UJ/res.EnergyUJ)
 		}
 	}
 	if *chains {
 		for _, ch := range res.Chains {
-			fmt.Printf("\n%s", ch)
+			fmt.Fprintf(w, "\n%s", ch)
 		}
 		if len(res.Chains) == 0 {
-			fmt.Println("\n(no chains cached; use a runahead-buffer mode)")
+			fmt.Fprintln(w, "\n(no chains cached; use a runahead-buffer mode)")
 		}
 	}
 	if *dump {
-		fmt.Printf("\n%s", res.Stats.Counters())
+		fmt.Fprintf(w, "\n%s", res.Stats.Counters())
 	}
 	if res.Timeline != nil {
-		if err := writeTimeline(res.Timeline, *tlFmt, *tlOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := writeTimeline(res.Timeline, *tlFmt, *tlOut, w); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeTimeline exports the interval samples as CSV or JSON, to a file or
 // stdout.
-func writeTimeline(tl *stats.Timeline, format, out string) error {
-	w := io.Writer(os.Stdout)
+func writeTimeline(tl *stats.Timeline, format, out string, stdout io.Writer) error {
+	w := stdout
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -198,7 +214,7 @@ func writeTimeline(tl *stats.Timeline, format, out string) error {
 		defer f.Close()
 		w = f
 	} else {
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	switch format {
 	case "", "csv":
@@ -208,93 +224,6 @@ func writeTimeline(tl *stats.Timeline, format, out string) error {
 	default:
 		return fmt.Errorf("unknown timeline format %q (have csv, json)", format)
 	}
-}
-
-// tracePipeline drops below the facade to attach a cycle-by-cycle tracer.
-func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64, format, out string, check bool, wdog int64, fdump string) {
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if wdog > 0 {
-		cfg.WatchdogCycles = wdog
-	} else if wdog < 0 {
-		cfg.WatchdogCycles = 0
-	}
-	p, err := workload.Load(bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	w := io.Writer(os.Stdout)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	sink, err := trace.NewSink(format, w)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	c := core.New(cfg, p)
-	// Crash-safe sink: flush and close the trace even when the run dies
-	// mid-stream (watchdog trip, simcheck violation, core bug), so the
-	// events leading up to the crash survive on disk — then dump the flight
-	// recorder and rethrow for main's fatal handler.
-	defer func() {
-		rec := recover()
-		cerr := c.CloseEventSink()
-		if rec != nil {
-			if path := dumpFlight(fdump, "flight-"+bench+"-"+mode, c); path != "" {
-				rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
-			}
-			panic(rec)
-		}
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
-		}
-	}()
-	var chk *simcheck.Checker
-	if check {
-		chk = simcheck.Attach(c, p, simcheck.Options{})
-	}
-	c.SetEventSink(sink, cycles)
-	for c.Now() < cycles {
-		c.Cycle()
-	}
-	if chk != nil {
-		chk.Finish()
-	}
-}
-
-// dumpFlight writes c's flight recorder to dir/<name>.jsonl, returning the
-// path ("" when disabled, empty, or on I/O failure — a crash dump must never
-// mask the crash itself).
-func dumpFlight(dir, name string, c *core.Core) string {
-	fr := c.FlightRecorder()
-	if dir == "" || fr == nil || fr.Len() == 0 {
-		return ""
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
-	if fr.WriteJSONL(f) != nil {
-		return ""
-	}
-	return path
 }
 
 // pipelineDiagram is Figure 6: the out-of-order pipeline with the additions
@@ -315,26 +244,22 @@ const pipelineDiagram = `Figure 6 — the runahead buffer pipeline:
   (+) needed for traditional runahead   (*) added for the runahead buffer
 `
 
-// compareModes runs every runahead mode and prints one row per system.
-func compareModes(bench string, pf bool, uops, warmup uint64, wdog int64, fdump string) {
-	fmt.Printf("%-22s %8s %10s %13s %11s %10s\n",
+// compareModes runs cfg under every runahead mode (with the enhancements on
+// the hybrids, as the paper's systems have them) and prints one row per
+// system.
+func compareModes(cfg runaheadsim.Config, stdout, stderr io.Writer) int {
+	fmt.Fprintf(stdout, "%-22s %8s %10s %13s %11s %10s\n",
 		"system", "IPC", "IPC gain", "energy diff", "DRAM diff", "intervals")
 	for _, m := range runaheadsim.Modes() {
-		res, err := runaheadsim.Run(runaheadsim.Config{
-			Benchmark:      bench,
-			Mode:           m,
-			Prefetcher:     pf,
-			Enhancements:   m == runaheadsim.ModeHybrid || m == runaheadsim.ModeAdaptiveHybrid,
-			MeasureUops:    uops,
-			WarmupUops:     warmup,
-			WatchdogCycles: wdog,
-			FlightDumpDir:  fdump,
-		})
+		cfg.Mode = m
+		cfg.Enhancements = m == runaheadsim.ModeHybrid || m == runaheadsim.ModeAdaptiveHybrid
+		res, err := runaheadsim.Run(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("%-22s %8.3f %9.1f%% %12.1f%% %10.1f%% %10d\n",
+		fmt.Fprintf(stdout, "%-22s %8.3f %9.1f%% %12.1f%% %10.1f%% %10d\n",
 			string(m), res.IPC, res.IPCDeltaPct, res.EnergyDeltaPct, res.TrafficDeltaPct, res.RunaheadIntervals)
 	}
+	return 0
 }

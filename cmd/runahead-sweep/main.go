@@ -46,13 +46,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		asJSON    = fs.Bool("json", false, "emit the tables as JSON instead of text")
 		quiet     = fs.Bool("q", false, "suppress progress output")
 		workers   = fs.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		sample    = fs.Bool("sample", false, "replace full detailed runs with checkpointed sampled intervals")
-		sMode     = fs.String("sample-mode", "even", "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
-		intervals = fs.Int("intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
-		sWindow   = fs.Uint64("sample-window", 0, "measured uops per sampled interval (0 = the whole region, split)")
-		sWarmup   = fs.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
-		sPhases   = fs.Int("phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
-		sBBV      = fs.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
 		cores     = fs.Int("cores", 1, "multi-programmed mode: cores sharing one LLC+DRAM (2-8; 1 = normal single-core sweep)")
 		mix       = fs.String("mix", "", "multi-programmed mode: comma-separated kernel mix, one per core (empty = default memory-bound rotation)")
 		tele      = fs.String("telemetry-addr", "", "serve /metrics, /progress (live per-worker sweep state), /healthz and pprof on this address")
@@ -65,6 +58,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		scCrit    = fs.String("screen-critical", "", "comma-separated benchmarks to always promote to detailed simulation")
 		benchTwin = fs.String("bench-twin", "", "benchmark the twin (calibration accuracy + screened-vs-full sweep cost) and write the JSON report here")
 	)
+	sample := harness.RegisterSampleFlags(fs)
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -104,17 +98,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "running %-12s %s\n", bench, config)
 		}
 	}
-	if *sample {
-		if *sMode != harness.SampleEven && *sMode != harness.SamplePhase {
-			fmt.Fprintf(stderr, "unknown -sample-mode %q (want even or phase)\n", *sMode)
-			return 2
-		}
-		// Interval-level workers stay at 1: the sweep already keeps -j
-		// runs in flight, which parallelizes without oversubscribing.
-		opts.Sample = &harness.SampleOptions{Mode: *sMode, Intervals: *intervals,
-			WindowUops: *sWindow, WarmupUops: *sWarmup, Workers: 1,
-			Phases: *sPhases, BBVWindows: *sBBV}
+	// Interval-level workers stay at 1: the sweep already keeps -j runs in
+	// flight, which parallelizes without oversubscribing.
+	so, err := sample.Options(1)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
+	opts.Sample = so
 
 	if *calibrate {
 		var set []string
@@ -158,8 +149,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	var sc *harness.Screen
 	if *screen {
-		model, ok := loadTwin(*twinPath, opts.MeasureUops, stderr)
-		if !ok {
+		model, err := harness.LoadTwin(*twinPath, opts.MeasureUops, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		sc, err = harness.BuildScreen(runner, plan,

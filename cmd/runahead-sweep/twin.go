@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -53,22 +54,6 @@ func runCalibrate(path string, opts harness.Options, benchSet []string, workers 
 		fmt.Fprintf(stderr, "calibrate: %-12s %d points, MAPE %5.2f%%\n", row.Name, row.Points, row.MAPEPct)
 	}
 	return 0
-}
-
-// loadTwin loads and fingerprint-checks the calibration artifact, warning
-// when the run's measured length differs from the calibration's (the
-// coefficients are largely scale-free but the accuracy scores are not).
-func loadTwin(path string, measureUops uint64, stderr io.Writer) (*twin.Model, bool) {
-	model, err := twin.Load(path, harness.TwinFingerprint())
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return nil, false
-	}
-	if model.MeasureUops != 0 && model.MeasureUops != measureUops {
-		fmt.Fprintf(stderr, "warning: %s was calibrated at %d measured uops, this run uses %d: accuracy scores do not transfer, consider recalibrating\n",
-			path, model.MeasureUops, measureUops)
-	}
-	return model, true
 }
 
 // twinReport is the BENCH_twin.json schema: the twin's calibration accuracy
@@ -209,7 +194,7 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 		if sc.WantsDetailed(pr.Bench, pr.Config) {
 			continue
 		}
-		e := 100 * stats.Div(abs(scr.Result(pr.Bench, pr.Config).IPC-ref.Result(pr.Bench, pr.Config).IPC),
+		e := 100 * stats.Div(math.Abs(scr.Result(pr.Bench, pr.Config).IPC-ref.Result(pr.Bench, pr.Config).IPC),
 			ref.Result(pr.Bench, pr.Config).IPC)
 		errSum += e
 		n++
@@ -272,11 +257,4 @@ func rankingMatches(a, b *harness.Runner, benches []string) bool {
 		}
 	}
 	return true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -196,7 +196,10 @@ type Config struct {
 
 	// WatchdogCycles aborts the simulation when no instruction commits (or
 	// pseudo-retires) for this many cycles — a simulator deadlock, not a
-	// workload property. Zero disables.
+	// workload property. Zero disables. It only decides when a wedged run
+	// gives up, so it is excluded from the snapshot configuration
+	// fingerprint and a snapshot restores under any bound.
+	//simlint:nofingerprint abort bound for a wedged run; never affects simulated behavior
 	WatchdogCycles int64
 
 	// FlightRecorderEvents sizes the always-on flight recorder: a ring of

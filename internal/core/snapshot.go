@@ -188,15 +188,17 @@ func (s *Stats) MergeScaled(o *Stats, num, den uint64) {
 // configFingerprint digests the full configuration. Config is maps-free, so
 // the %+v rendering is deterministic, and any parameter difference — pipeline
 // widths, cache geometry, runahead mode — changes the digest. The Scheduler,
-// ClockMode, DRAM Reference, and FlightRecorderEvents fields are zeroed
-// first: they differ only in simulator speed or observability, never in
-// simulated behavior, so snapshots taken under any combination interoperate
-// (and the equivalence tests compare digests across them directly).
+// ClockMode, DRAM Reference, FlightRecorderEvents and WatchdogCycles fields
+// are pinned first: they differ only in simulator speed, observability, or
+// when a wedged run gives up, never in simulated behavior, so snapshots
+// taken under any combination interoperate (and the equivalence tests
+// compare digests across them directly).
 func configFingerprint(cfg Config) uint64 {
 	cfg.Scheduler = SchedEvent
 	cfg.ClockMode = ClockWarp
 	cfg.Mem.DRAM.Reference = false
 	cfg.FlightRecorderEvents = 0
+	cfg.WatchdogCycles = DefaultConfig().WatchdogCycles
 	return snapshot.HashString(fmt.Sprintf("%+v", cfg))
 }
 

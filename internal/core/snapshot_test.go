@@ -134,6 +134,22 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotIgnoresWatchdog checks that the watchdog bound is not part of
+// the machine's identity: it only decides when a wedged run gives up, so a
+// snapshot restores under any bound.
+func TestSnapshotIgnoresWatchdog(t *testing.T) {
+	p := workload.MustLoad("libquantum")
+	cfg := testConfig(core.ModeNone)
+	_, data := runToDrainedSnapshot(t, cfg, p, 20_000)
+	for _, wd := range []int64{0, 5, 10_000_000} {
+		other := cfg
+		other.WatchdogCycles = wd
+		if _, err := core.RestoreCore(data, other, p); err != nil {
+			t.Errorf("restore under WatchdogCycles=%d rejected: %v", wd, err)
+		}
+	}
+}
+
 // TestSnapshotRefusesUndrained verifies that a mid-flight machine cannot be
 // serialized (its in-flight state is closures).
 func TestSnapshotRefusesUndrained(t *testing.T) {

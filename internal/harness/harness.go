@@ -11,7 +11,6 @@ import (
 
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/energy"
-	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/stats"
 	"runaheadsim/internal/workload"
 )
@@ -159,11 +158,6 @@ type Options struct {
 	WatchdogCycles int64
 }
 
-// DefaultOptions is the sweep default.
-func DefaultOptions() Options {
-	return Options{MeasureUops: 150_000}
-}
-
 func (o Options) warmup(class workload.Class) uint64 {
 	if o.WarmupUops > 0 {
 		return o.WarmupUops
@@ -219,7 +213,7 @@ type PlannedRun struct {
 // NewRunner returns a Runner with the given options.
 func NewRunner(opts Options) *Runner {
 	if opts.MeasureUops == 0 {
-		opts.MeasureUops = DefaultOptions().MeasureUops
+		opts.MeasureUops = 150_000 // the sweep default
 	}
 	return &Runner{
 		opts:     opts,
@@ -287,25 +281,27 @@ func (r *Runner) Plan(fn func(*Runner)) []PlannedRun {
 // results are memoized by pair, a prewarmed sweep renders byte-identically
 // to a sequential one — parallelism changes only who computes each entry.
 func (r *Runner) Prewarm(runs []PlannedRun, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	ch := make(chan PlannedRun)
+	forEach(len(runs), workers, func(i int) { r.Result(runs[i].Bench, runs[i].Config) })
+}
+
+// forEach calls fn(0) .. fn(n-1) on a pool of at most `workers` goroutines
+// (at least one), handing out indices in order, and returns when all are
+// done.
+func forEach(n, workers int, fn func(i int)) {
+	workers = min(max(workers, 1), max(n, 1))
+	ch := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for pr := range ch {
-				r.Result(pr.Bench, pr.Config)
+			for i := range ch {
+				fn(i)
 			}
 		}()
 	}
-	for _, pr := range runs {
-		ch <- pr
+	for i := 0; i < n; i++ {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()
@@ -316,38 +312,6 @@ func (r *Runner) Prewarm(runs []PlannedRun, workers int) {
 // divide don't trip; everything derived from it is discarded.
 func placeholderResult(bench string, rc RunConfig) *Result {
 	return &Result{Bench: bench, Config: rc, Stats: core.NewPlaceholderStats(), IPC: 1}
-}
-
-// cfgFor translates a RunConfig into a full core configuration with the
-// runner's overrides applied.
-func (r *Runner) cfgFor(rc RunConfig) core.Config {
-	cfg := configFor(rc)
-	if wd := r.opts.WatchdogCycles; wd > 0 {
-		cfg.WatchdogCycles = wd
-	} else if wd < 0 {
-		cfg.WatchdogCycles = 0
-	}
-	return cfg
-}
-
-// configFor translates a RunConfig into a full core configuration.
-func configFor(rc RunConfig) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Mode = rc.Mode
-	cfg.Enhancements = rc.Enhancements
-	cfg.Mem.EnablePrefetch = rc.Prefetch
-	cfg.DepTrack = rc.DepTrack
-	if rc.MaxChain > 0 {
-		cfg.MaxChainLength = rc.MaxChain
-		cfg.RunaheadBufferSize = rc.MaxChain
-	}
-	if rc.CCEntries > 0 {
-		cfg.ChainCacheEntries = rc.CCEntries
-	}
-	if rc.PFKind != "" {
-		cfg.Mem.PrefetchKind = rc.PFKind
-	}
-	return cfg
 }
 
 // run simulates one (benchmark, configuration) pair — full-detail, sampled,
@@ -379,64 +343,23 @@ func (r *Runner) run(bench string, rc RunConfig) *Result {
 		res.Provenance = ProvenanceDetailed
 		return res
 	}
-	cfg := r.cfgFor(rc)
-
-	p := workload.MustLoad(bench)
-	c := core.New(cfg, p)
-	defer r.dumpFlightOnPanic(c, "flight-"+bench+"-"+label)
-	var chk *simcheck.Checker
-	if r.opts.Check || simcheck.TagEnabled {
-		chk = simcheck.Attach(c, p, simcheck.Options{})
+	s, err := NewSession(r.opts, bench, rc, workload.MustLoad(bench), Start{})
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s/%s: %v", bench, label, err))
 	}
-	m := r.opts.Monitor
-	var report func(uint64)
-	if m != nil {
-		report = func(done uint64) { m.Progress(bench, label, -1, done) }
-	}
-	warmup := r.opts.warmup(spec.Class)
-	if m != nil {
-		m.Phase(bench, label, -1, "warmup", warmup)
-	}
-	chunkRun(c, warmup, report)
-	c.ResetStats()
-	var tl *stats.Timeline
-	if r.opts.TimelineInterval > 0 {
-		n := r.opts.TimelineSamples
-		if n <= 0 {
-			n = 4096
-		}
-		tl = stats.NewTimeline(r.opts.TimelineInterval, n)
-		c.SetTimeline(tl)
-	}
-	if m != nil {
-		m.Phase(bench, label, -1, "measure", r.opts.MeasureUops)
-	}
-	st := chunkRun(c, r.opts.MeasureUops, report)
-	if m != nil {
-		m.Done(bench, label, -1)
-	}
-	if chk != nil {
-		chk.Finish()
-	}
-
-	res := &Result{
+	ms := s.Measure(r.opts.warmup(spec.Class), r.opts.MeasureUops)
+	st := ms.Stats
+	return &Result{
 		Bench:        bench,
 		Config:       rc,
 		Stats:        st,
-		Timeline:     tl,
+		Timeline:     ms.Timeline,
 		Provenance:   ProvenanceDetailed,
-		Energy:       energy.Compute(energy.DefaultParams(), energy.Measure(c)),
+		Energy:       energy.Compute(energy.DefaultParams(), ms.Activity),
 		IPC:          st.IPC(),
-		MPKI:         1000 * stats.Div(float64(c.Hierarchy().LLCDemandMisses), float64(st.Committed)),
+		MPKI:         1000 * stats.Div(float64(ms.LLCMisses), float64(st.Committed)),
 		MemStallPct:  100 * stats.Div(float64(st.MemStallCycles), float64(st.Cycles)),
-		DRAMRequests: c.Hierarchy().TotalDRAMRequests(),
+		DRAMRequests: ms.DRAMRequests,
+		Chains:       ms.Chains,
 	}
-	for _, ch := range c.CachedChains() {
-		ch := ch
-		res.Chains = append(res.Chains, ch.String())
-	}
-	return res
 }
-
-// Options returns the runner's options.
-func (r *Runner) Options() Options { return r.opts }

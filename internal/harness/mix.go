@@ -108,7 +108,7 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 	if len(mix) == 0 {
 		panic("harness: empty kernel mix")
 	}
-	cfg := r.cfgFor(rc)
+	cfg := r.opts.machineConfig(rc)
 	progs := make([]*prog.Program, len(mix))
 	// Warmup must cover the slowest-warming member: the cluster runs every
 	// core to the same warmup quota, so each member gets at least its own

@@ -1,12 +1,6 @@
 package harness
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"runaheadsim/internal/core"
-)
+import "runaheadsim/internal/core"
 
 // Monitor receives live progress from simulated runs. Implementations must
 // be safe for concurrent use: sampled intervals and prewarmed sweeps report
@@ -51,43 +45,4 @@ func chunkRun(c *core.Core, target uint64, report func(done uint64)) *core.Stats
 	st = c.Run(target)
 	report(st.Committed)
 	return st
-}
-
-// dumpFlightOnPanic is deferred around a detailed run: when the run dies it
-// writes the core's flight recorder to FlightDumpDir and rethrows with the
-// dump path appended, turning an opaque panic into an attributable event
-// trace. With no dump directory (or an empty ring) the panic passes through
-// untouched.
-func (r *Runner) dumpFlightOnPanic(c *core.Core, name string) {
-	rec := recover()
-	if rec == nil {
-		return
-	}
-	if path := writeFlightDump(r.opts.FlightDumpDir, name, c); path != "" {
-		panic(fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path))
-	}
-	panic(rec)
-}
-
-// writeFlightDump writes c's flight-recorder ring to dir/<name>.jsonl,
-// returning the path ("" when disabled, empty, or on I/O failure — a crash
-// dump must never mask the crash).
-func writeFlightDump(dir, name string, c *core.Core) string {
-	fr := c.FlightRecorder()
-	if dir == "" || fr == nil || fr.Len() == 0 {
-		return ""
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
-	if err := fr.WriteJSONL(f); err != nil {
-		return ""
-	}
-	return path
 }

@@ -184,14 +184,14 @@ func sampleCIs(plan []checkpoint, results []intervalResult, pp *phases.Plan) []S
 	}
 	metrics := []ratio{
 		{"IPC",
-			func(ir *intervalResult) float64 { return float64(ir.st.Committed) },
-			func(ir *intervalResult) float64 { return float64(ir.st.Cycles) }},
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Committed) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Cycles) }},
 		{"MPKI",
-			func(ir *intervalResult) float64 { return 1000 * float64(ir.llcMiss) },
-			func(ir *intervalResult) float64 { return float64(ir.st.Committed) }},
+			func(ir *intervalResult) float64 { return 1000 * float64(ir.LLCMisses) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Committed) }},
 		{"MemStallPct",
-			func(ir *intervalResult) float64 { return 100 * float64(ir.st.MemStallCycles) },
-			func(ir *intervalResult) float64 { return float64(ir.st.Cycles) }},
+			func(ir *intervalResult) float64 { return 100 * float64(ir.Stats.MemStallCycles) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Cycles) }},
 	}
 	k := len(plan)
 	disp := pp.AvgDispersion()

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"runaheadsim/internal/energy"
 	"runaheadsim/internal/phases"
 	"runaheadsim/internal/prog"
-	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/stats"
 	"runaheadsim/internal/workload"
 )
@@ -64,6 +64,41 @@ type SampleOptions struct {
 	BBVWindows int
 }
 
+// SampleFlags is the sampled-interval flag set the CLIs share.
+type SampleFlags struct {
+	on   bool
+	opts SampleOptions
+}
+
+// RegisterSampleFlags defines -sample, -sample-mode, -intervals,
+// -sample-window, -sample-warmup, -phases and -bbv-windows on fs.
+func RegisterSampleFlags(fs *flag.FlagSet) *SampleFlags {
+	f := &SampleFlags{}
+	fs.BoolVar(&f.on, "sample", false, "replace full detailed runs with checkpointed sampled intervals")
+	fs.StringVar(&f.opts.Mode, "sample-mode", SampleEven, "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
+	fs.IntVar(&f.opts.Intervals, "intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
+	fs.Uint64Var(&f.opts.WindowUops, "sample-window", 0, "measured uops per sampled interval (0 = the whole region, split)")
+	fs.Uint64Var(&f.opts.WarmupUops, "sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
+	fs.IntVar(&f.opts.Phases, "phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
+	fs.IntVar(&f.opts.BBVWindows, "bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
+	return f
+}
+
+// Options returns the sampling the flags select with the given per-run
+// interval Workers (nil without -sample), or an error for an unknown
+// -sample-mode.
+func (f *SampleFlags) Options(workers int) (*SampleOptions, error) {
+	if !f.on {
+		return nil, nil
+	}
+	if f.opts.Mode != SampleEven && f.opts.Mode != SamplePhase {
+		return nil, fmt.Errorf("unknown -sample-mode %q (want even or phase)", f.opts.Mode)
+	}
+	so := f.opts
+	so.Workers = workers
+	return &so, nil
+}
+
 func (o SampleOptions) intervals() int {
 	if o.Intervals <= 0 {
 		return 4
@@ -84,8 +119,6 @@ func (o SampleOptions) workers() int {
 	}
 	return o.Workers
 }
-
-func (o SampleOptions) phaseMode() bool { return o.Mode == SamplePhase }
 
 func (o SampleOptions) bbvWindows() int {
 	if o.BBVWindows <= 0 {
@@ -260,15 +293,11 @@ func detailedUops(plan []checkpoint) uint64 {
 	return n
 }
 
-// intervalResult carries one simulated window's counters back to the merge.
+// intervalResult carries one simulated window's measurement back to the
+// merge.
 type intervalResult struct {
-	id       int
-	st       *core.Stats
-	activity energy.Activity
-	llcMiss  uint64
-	dramReqs uint64
-	chains   []string
-	err      error
+	Measurement
+	err error
 }
 
 // runSampled approximates one full run by merging sampled detailed windows.
@@ -277,7 +306,6 @@ type intervalResult struct {
 // lowest failing interval id.
 func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Result, error) {
 	so := *r.opts.Sample
-	cfg := r.cfgFor(rc)
 	p := workload.MustLoad(bench)
 
 	full := r.opts.warmup(spec.Class)
@@ -287,7 +315,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 
 	var plan []checkpoint
 	var phasePlan *phases.Plan
-	if so.phaseMode() {
+	if so.Mode == SamplePhase {
 		pp, err := r.profilePhases(bench, label, p, full, measure, so)
 		if err != nil {
 			return nil, err
@@ -337,7 +365,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 		go func() {
 			defer wg.Done()
 			for ck := range cks {
-				results[ck.id] = r.runInterval(bench, label, cfg, p, ck)
+				results[ck.id] = r.runInterval(bench, rc, p, ck)
 			}
 		}()
 	}
@@ -356,21 +384,21 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 		if ir.err != nil {
 			return nil, ir.err
 		}
-		if ir.st == nil {
+		if ir.Stats == nil {
 			return nil, fmt.Errorf("interval %d: no result", i)
 		}
 		ck := plan[i]
-		merged.MergeScaled(ir.st, ck.wnum, ck.wden)
-		act.L1DAccesses += stats.ScaleU64(ir.activity.L1DAccesses, ck.wnum, ck.wden)
-		act.L1IAccesses += stats.ScaleU64(ir.activity.L1IAccesses, ck.wnum, ck.wden)
-		act.LLCAccesses += stats.ScaleU64(ir.activity.LLCAccesses, ck.wnum, ck.wden)
-		act.DRAMReads += stats.ScaleU64(ir.activity.DRAMReads, ck.wnum, ck.wden)
-		act.DRAMWrites += stats.ScaleU64(ir.activity.DRAMWrites, ck.wnum, ck.wden)
-		act.DRAMActivates += stats.ScaleU64(ir.activity.DRAMActivates, ck.wnum, ck.wden)
-		llcMisses += stats.ScaleU64(ir.llcMiss, ck.wnum, ck.wden)
-		res.DRAMRequests += stats.ScaleU64(ir.dramReqs, ck.wnum, ck.wden)
-		if len(ir.chains) > 0 {
-			res.Chains = ir.chains // keep the latest window's chains
+		merged.MergeScaled(ir.Stats, ck.wnum, ck.wden)
+		act.L1DAccesses += stats.ScaleU64(ir.Activity.L1DAccesses, ck.wnum, ck.wden)
+		act.L1IAccesses += stats.ScaleU64(ir.Activity.L1IAccesses, ck.wnum, ck.wden)
+		act.LLCAccesses += stats.ScaleU64(ir.Activity.LLCAccesses, ck.wnum, ck.wden)
+		act.DRAMReads += stats.ScaleU64(ir.Activity.DRAMReads, ck.wnum, ck.wden)
+		act.DRAMWrites += stats.ScaleU64(ir.Activity.DRAMWrites, ck.wnum, ck.wden)
+		act.DRAMActivates += stats.ScaleU64(ir.Activity.DRAMActivates, ck.wnum, ck.wden)
+		llcMisses += stats.ScaleU64(ir.LLCMisses, ck.wnum, ck.wden)
+		res.DRAMRequests += stats.ScaleU64(ir.DRAMRequests, ck.wnum, ck.wden)
+		if len(ir.Chains) > 0 {
+			res.Chains = ir.Chains // keep the latest window's chains
 		}
 	}
 	// The energy model is linear in its counters, so computing it over the
@@ -399,50 +427,18 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 
 // runInterval simulates one detailed window from its checkpoint. Panics
 // (core bugs, simcheck violations) surface as errors tagged with the
-// interval id rather than killing the worker pool; a dying interval dumps
-// its flight recorder first when FlightDumpDir is set.
-func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Program, ck checkpoint) (ir intervalResult) {
-	ir.id = ck.id
-	m := r.opts.Monitor
-	var c *core.Core
+// interval id rather than killing the worker pool; the session has already
+// dumped the dying window's flight recorder when FlightDumpDir is set.
+func (r *Runner) runInterval(bench string, rc RunConfig, p *prog.Program, ck checkpoint) (ir intervalResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if c != nil {
-				name := fmt.Sprintf("flight-%s-%s-i%d", bench, label, ck.id)
-				if path := writeFlightDump(r.opts.FlightDumpDir, name, c); path != "" {
-					rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
-				}
-			}
 			ir.err = fmt.Errorf("interval %d: %v", ck.id, rec)
 		}
-		if m != nil {
-			m.Done(bench, label, ck.id)
-		}
 	}()
-	c = core.NewFromArch(cfg, p, ck.st)
-	var chk *simcheck.Checker
-	if r.opts.Check || simcheck.TagEnabled {
-		chk = simcheck.AttachResumed(c, p, simcheck.Options{})
+	s := Session{opts: r.opts, bench: bench, label: rc.Label(), interval: ck.id}
+	if err := s.build(rc, p, FromArch(ck.st)); err != nil {
+		panic(err)
 	}
-	var report func(uint64)
-	if m != nil {
-		report = func(done uint64) { m.Progress(bench, label, ck.id, done) }
-		m.Phase(bench, label, ck.id, "warmup", ck.warmup)
-	}
-	chunkRun(c, ck.warmup, report)
-	c.ResetStats()
-	if m != nil {
-		m.Phase(bench, label, ck.id, "measure", ck.measure)
-	}
-	ir.st = chunkRun(c, ck.measure, report)
-	if chk != nil {
-		chk.Finish()
-	}
-	ir.activity = energy.Measure(c)
-	ir.llcMiss = c.Hierarchy().LLCDemandMisses
-	ir.dramReqs = c.Hierarchy().TotalDRAMRequests()
-	for _, chain := range c.CachedChains() {
-		ir.chains = append(ir.chains, chain.String())
-	}
+	ir.Measurement = s.Measure(ck.warmup, ck.measure)
 	return ir
 }

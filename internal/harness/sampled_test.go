@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"runaheadsim/internal/core"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/workload"
 )
@@ -157,7 +156,7 @@ func TestSampledIntervalErrorID(t *testing.T) {
 	p := workload.MustLoad("mcf")
 	// A checkpoint with no memory image makes the detailed core fault on
 	// its first load — a stand-in for any interval-local simulator bug.
-	ir := r.runInterval("mcf", "Base", core.DefaultConfig(), p, checkpoint{id: 3, warmup: 500, measure: 500,
+	ir := r.runInterval("mcf", Baseline, p, checkpoint{id: 3, warmup: 500, measure: 500,
 		st: prog.ArchState{Index: 0}})
 	if ir.err == nil {
 		t.Fatal("broken interval produced no error")

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,11 +81,27 @@ func CalibrationConfigs() []RunConfig {
 // twinMachineConfig is the structural configuration the twin is keyed to:
 // the Table 1 baseline. Per-RunConfig differences (mode, enhancements) are
 // model inputs, not machine identity.
-func twinMachineConfig() core.Config { return configFor(Baseline) }
+func twinMachineConfig() core.Config { return Options{}.machineConfig(Baseline) }
 
 // TwinFingerprint is the config fingerprint calibration artifacts are keyed
 // by; a twin calibrated under one machine refuses to screen another.
 func TwinFingerprint() uint64 { return core.ConfigFingerprint(twinMachineConfig()) }
+
+// LoadTwin loads and fingerprint-checks a calibration artifact, warning on
+// warn when it was calibrated at a different measured length than
+// measureUops (the coefficients are largely scale-free but the accuracy
+// scores are not).
+func LoadTwin(path string, measureUops uint64, warn io.Writer) (*twin.Model, error) {
+	model, err := twin.Load(path, TwinFingerprint())
+	if err != nil {
+		return nil, err
+	}
+	if model.MeasureUops != 0 && model.MeasureUops != measureUops {
+		fmt.Fprintf(warn, "warning: %s was calibrated at %d measured uops, this run uses %d: accuracy scores do not transfer, consider recalibrating\n",
+			path, model.MeasureUops, measureUops)
+	}
+	return model, nil
+}
 
 // Calibrate runs the detailed calibration matrix (benches × configs, with
 // the runner's memo cache and `workers` parallel simulations), profiles
@@ -133,28 +151,7 @@ func (r *Runner) Calibrate(benches []string, configs []RunConfig, workers int) (
 // buildProfiles fills the runner's profile cache for the given benches on a
 // worker pool (each profile is a single-flight memo, like detailed runs).
 func (r *Runner) buildProfiles(benches []string, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	ch := make(chan string)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ch {
-				r.twinProfile(b)
-			}
-		}()
-	}
-	for _, b := range benches {
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
+	forEach(len(benches), workers, func(i int) { r.twinProfile(benches[i]) })
 }
 
 // ScreenOptions tunes the screening tier's promotion policy.
@@ -263,7 +260,7 @@ func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*
 	ranked := make([]cand, len(cands))
 	copy(ranked, cands)
 	sort.SliceStable(ranked, func(a, b int) bool {
-		da, db := abs(ranked[a].delta), abs(ranked[b].delta)
+		da, db := math.Abs(ranked[a].delta), math.Abs(ranked[b].delta)
 		if da != db {
 			return da > db
 		}
@@ -291,13 +288,6 @@ func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*
 		sc.rows = append(sc.rows, row)
 	}
 	return sc, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // WantsDetailed reports whether this pair must run on the detailed
