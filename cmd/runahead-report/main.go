@@ -6,8 +6,8 @@
 // sharing one LLC + DRAM, baseline vs runahead buffer.
 //
 // With -sample the detailed runs behind the verdicts are sampled instead of
-// full-detail, and -sample-mode=phase appends a table of per-metric 95%
-// confidence intervals next to the phase-weighted estimates.
+// full-detail, and a table of per-metric 95% confidence intervals for the
+// sampled estimates is appended.
 //
 // With -screen the runs are screened through the calibrated analytical twin
 // (-twin points at the artifact): only promoted and out-of-domain pairs
@@ -16,7 +16,7 @@
 //
 //	runahead-report
 //	runahead-report -uops 300000
-//	runahead-report -sample -sample-mode=phase
+//	runahead-report -sample
 //	runahead-report -screen -twin twin_coeffs.json -json
 //	runahead-report -cores 4
 //	runahead-report -cores 2 -mix libquantum,mcf -json
@@ -59,13 +59,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := harness.Options{MeasureUops: *uops}
-	so, err := sample.Options(0)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	opts.Sample = so
+	opts := harness.Options{MeasureUops: *uops, Sample: sample.Options(0)}
 	var members []string
 	if *mix != "" {
 		members = strings.Split(*mix, ",")
@@ -105,7 +99,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		r.SetScreen(sc)
 	}
 	tables := []harness.Table{harness.Report(r)}
-	if so != nil && so.Mode == harness.SamplePhase {
+	if opts.Sample != nil {
 		tables = append(tables, harness.SamplingTable(r))
 	}
 	if *cpiStack {

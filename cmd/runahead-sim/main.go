@@ -245,21 +245,26 @@ const pipelineDiagram = `Figure 6 — the runahead buffer pipeline:
 `
 
 // compareModes runs cfg under every runahead mode (with the enhancements on
-// the hybrids, as the paper's systems have them) and prints one row per
-// system.
+// the hybrids, as the paper's systems have them) on one shared runner, so
+// the baseline behind every row's deltas is simulated once, and prints each
+// system's row as soon as its run finishes.
 func compareModes(cfg runaheadsim.Config, stdout, stderr io.Writer) int {
-	fmt.Fprintf(stdout, "%-22s %8s %10s %13s %11s %10s\n",
-		"system", "IPC", "IPC gain", "energy diff", "DRAM diff", "intervals")
+	var cfgs []runaheadsim.Config
 	for _, m := range runaheadsim.Modes() {
 		cfg.Mode = m
 		cfg.Enhancements = m == runaheadsim.ModeHybrid || m == runaheadsim.ModeAdaptiveHybrid
-		res, err := runaheadsim.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	fmt.Fprintf(stdout, "%-22s %8s %10s %13s %11s %10s\n",
+		"system", "IPC", "IPC gain", "energy diff", "DRAM diff", "intervals")
+	err := runaheadsim.RunAll(cfgs, func(res runaheadsim.Result) error {
 		fmt.Fprintf(stdout, "%-22s %8.3f %9.1f%% %12.1f%% %10.1f%% %10d\n",
-			string(m), res.IPC, res.IPCDeltaPct, res.EnergyDeltaPct, res.TrafficDeltaPct, res.RunaheadIntervals)
+			string(res.Mode), res.IPC, res.IPCDeltaPct, res.EnergyDeltaPct, res.TrafficDeltaPct, res.RunaheadIntervals)
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	return 0
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"runaheadsim"
 	"runaheadsim/internal/core"
 )
 
@@ -134,5 +137,35 @@ func TestExitCodes(t *testing.T) {
 		if code, _, _ := runCLI(t, tc.args...); code != tc.code {
 			t.Errorf("%v exited %d, want %d", tc.args, code, tc.code)
 		}
+	}
+}
+
+// runCounter counts the detailed runs a monitor sees start.
+type runCounter struct {
+	mu     sync.Mutex
+	starts []string
+}
+
+func (c *runCounter) RunStart(bench, config string) {
+	c.mu.Lock()
+	c.starts = append(c.starts, bench+"/"+config)
+	c.mu.Unlock()
+}
+func (c *runCounter) RunDone(string, string)                    {}
+func (c *runCounter) Phase(string, string, int, string, uint64) {}
+func (c *runCounter) Progress(string, string, int, uint64)      {}
+func (c *runCounter) Done(string, string, int)                  {}
+
+// TestAllModesSimulatesBaselineOnce checks that -all-modes shares one runner
+// across its rows: six systems cost six detailed runs, the baseline behind
+// every row's deltas among them, not one extra baseline per row.
+func TestAllModesSimulatesBaselineOnce(t *testing.T) {
+	rc := &runCounter{}
+	cfg := runaheadsim.Config{Benchmark: "mcf", MeasureUops: 2_000, WarmupUops: 2_000, Monitor: rc}
+	if code := compareModes(cfg, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("compareModes exited %d", code)
+	}
+	if len(rc.starts) != len(runaheadsim.Modes()) {
+		t.Errorf("-all-modes started %d detailed runs, want %d: %v", len(rc.starts), len(runaheadsim.Modes()), rc.starts)
 	}
 }

@@ -100,12 +100,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	// Interval-level workers stay at 1: the sweep already keeps -j runs in
 	// flight, which parallelizes without oversubscribing.
-	so, err := sample.Options(1)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	opts.Sample = so
+	opts.Sample = sample.Options(1)
 
 	if *calibrate {
 		var set []string

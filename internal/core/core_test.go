@@ -348,8 +348,8 @@ func TestRunaheadPointerChaseGivesLittle(t *testing.T) {
 
 func TestChainCacheHitsOnRepetitiveWorkload(t *testing.T) {
 	c := New(testConfig(ModeBufferCC), gatherLoop(8))
-	c.Run(20_000)
-	hits, misses := c.ChainCacheStats()
+	st := c.Run(20_000)
+	hits, misses := st.ChainCacheHits, st.ChainCacheMisses
 	if hits == 0 {
 		t.Fatal("chain cache never hit on a single-PC miss workload")
 	}

@@ -50,39 +50,3 @@ func TestCountersExportStable(t *testing.T) {
 		t.Fatal("Counters export must be deterministic")
 	}
 }
-
-// TestStatsMergeScaled checks the weighted-merge path the phase-sampled
-// engine uses: scaling by w/w is exactly Merge, counters scale by the
-// rational weight with rounding, and histogram extrema stay unscaled.
-func TestStatsMergeScaled(t *testing.T) {
-	src := NewStats()
-	src.Cycles = 1000
-	src.Committed = 400
-	src.RunaheadMissesLLC = 7
-	src.CPIStack[0] = 1000
-	src.ChainLengths.Observe(8)
-
-	same := NewStats()
-	same.MergeScaled(src, 5, 5)
-	plain := NewStats()
-	plain.Merge(src)
-	if same.Cycles != plain.Cycles || same.Committed != plain.Committed ||
-		same.ChainLengths.Count != plain.ChainLengths.Count {
-		t.Fatal("MergeScaled(o, w, w) differs from Merge(o)")
-	}
-
-	scaled := NewStats()
-	scaled.MergeScaled(src, 3, 2) // 1.5x
-	if scaled.Cycles != 1500 || scaled.Committed != 600 || scaled.RunaheadMissesLLC != 11 {
-		t.Fatalf("scaled counters: cycles=%d committed=%d misses=%d", scaled.Cycles, scaled.Committed, scaled.RunaheadMissesLLC)
-	}
-	if scaled.CPIStack[0] != 1500 {
-		t.Fatalf("CPI stack scaled to %d, want 1500", scaled.CPIStack[0])
-	}
-	if scaled.ChainLengths.Count != 2 { // 1*3/2 = 1.5 rounds to 2
-		t.Fatalf("histogram count scaled to %d, want 2", scaled.ChainLengths.Count)
-	}
-	if scaled.ChainLengths.MaxSeen != 8 {
-		t.Fatalf("histogram MaxSeen %d, extrema must not scale", scaled.ChainLengths.MaxSeen)
-	}
-}

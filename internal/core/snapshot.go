@@ -152,39 +152,6 @@ func (s *Stats) Merge(o *Stats) {
 	}
 }
 
-// MergeScaled folds o's counters into s scaled by the rational num/den
-// (round-to-nearest): the phase-weighted sampled engine extrapolates one
-// representative window's counters to the full uop weight of its phase.
-// MergeScaled(o, w, w) is exactly Merge(o). Histogram MaxSeen fields are
-// extrema, not counts, and merge unscaled.
-func (s *Stats) MergeScaled(o *Stats, num, den uint64) {
-	if num == den {
-		s.Merge(o)
-		return
-	}
-	v := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f, of := v.Field(i), ov.Field(i)
-		switch f.Kind() {
-		case reflect.Int64:
-			f.SetInt(f.Int() + stats.ScaleI64(of.Int(), num, den))
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + stats.ScaleU64(of.Uint(), num, den))
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				f.Index(j).SetInt(f.Index(j).Int() + stats.ScaleI64(of.Index(j).Int(), num, den))
-			}
-		case reflect.Ptr:
-			if h, ok := f.Interface().(*stats.Histogram); ok && h != nil {
-				if oh, ok := of.Interface().(*stats.Histogram); ok && oh != nil {
-					h.MergeScaled(oh, num, den)
-				}
-			}
-		}
-	}
-}
-
 // configFingerprint digests the full configuration. Config is maps-free, so
 // the %+v rendering is deterministic, and any parameter difference — pipeline
 // widths, cache geometry, runahead mode — changes the digest. The Scheduler,

@@ -66,6 +66,8 @@ func (rc RunConfig) Label() string {
 		s = "RB"
 	case rc.Mode == core.ModeBufferCC:
 		s = "RB+CC"
+	case rc.Mode == core.ModeAdaptive:
+		s = "Adaptive"
 	default:
 		s = "Hybrid"
 	}
@@ -97,8 +99,8 @@ type Result struct {
 	Chains []string
 
 	// Sampling describes how this result was sampled (nil for full-detail
-	// runs): the mode, the detailed-uop cost, and — in phase mode — the
-	// phase structure and per-metric confidence intervals.
+	// runs): the mode, the detailed-uop cost, and per-metric confidence
+	// intervals.
 	Sampling *SamplingInfo
 
 	// Provenance records how this result was produced: ProvenanceDetailed
@@ -186,8 +188,7 @@ type Runner struct {
 	screen *Screen
 
 	// profileWallNanos accumulates wall time spent in interpreter-speed
-	// profiling passes (BBV phase profiling, twin profiling), read via
-	// ProfileWallSec. Accessed atomically.
+	// twin profiling passes, read via ProfileWallSec. Accessed atomically.
 	profileWallNanos int64
 
 	// Planning mode (see Plan): Result records the requested pair and

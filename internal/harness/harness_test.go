@@ -40,10 +40,27 @@ func TestLabels(t *testing.T) {
 		"Hybrid":    Hybrid,
 		"RA+PF":     Runahead.WithPF(),
 		"Hybrid+PF": Hybrid.WithPF(),
+		"Adaptive":  AdaptiveHybrid,
 	}
 	for want, rc := range cases {
 		if got := rc.Label(); got != want {
 			t.Errorf("Label(%+v) = %q, want %q", rc, got, want)
+		}
+	}
+}
+
+// TestLabelsDistinct checks that every configuration the harness defines,
+// with and without the prefetcher, has its own label: flight dumps and
+// telemetry rows are keyed by it, so two configurations sharing a label
+// overwrite each other's dumps.
+func TestLabelsDistinct(t *testing.T) {
+	seen := map[string]RunConfig{}
+	for _, rc := range []RunConfig{Baseline, Runahead, RunaheadEnh, Buffer, BufferCC, Hybrid, AdaptiveHybrid} {
+		for _, v := range []RunConfig{rc, rc.WithPF()} {
+			if prev, ok := seen[v.Label()]; ok {
+				t.Errorf("%+v and %+v share the label %q", prev, v, v.Label())
+			}
+			seen[v.Label()] = v
 		}
 	}
 }

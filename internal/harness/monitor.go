@@ -12,10 +12,10 @@ type Monitor interface {
 	// show ghosts after a crash.
 	RunStart(bench, config string)
 	RunDone(bench, config string)
-	// Phase reports one unit of work entering a phase — "bbv-profile",
-	// "fast-forward", "warmup", or "measure" — with its committed-uop goal
-	// (0 = unknown). interval is the sampled-interval id, or -1 for
-	// full-detail runs and the planning/fast-forward passes.
+	// Phase reports one unit of work entering a phase — "fast-forward",
+	// "warmup", or "measure" — with its committed-uop goal (0 = unknown).
+	// interval is the sampled-interval id, or -1 for full-detail runs and
+	// the fast-forward pass.
 	Phase(bench, config string, interval int, phase string, total uint64)
 	// Progress reports committed uops completed within the current phase.
 	Progress(bench, config string, interval int, done uint64)

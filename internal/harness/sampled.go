@@ -3,40 +3,32 @@ package harness
 import (
 	"flag"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/energy"
-	"runaheadsim/internal/phases"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/stats"
 	"runaheadsim/internal/workload"
 )
 
-// Sampling modes. SampleEven is PR 3's engine: N windows spaced evenly
-// across the measured region, merged unweighted. SamplePhase is the
-// SimPoint-style engine: the functional fast-forward first profiles
-// basic-block vectors over a fine window grid, deterministic k-means groups
-// the windows into phases, and only one representative window per phase is
-// simulated in detail, its counters scaled up by the uops its phase covers.
-const (
-	SampleEven  = "even"
-	SamplePhase = "phase"
-)
+// SampleEven names the sampling engine's window placement: N windows
+// spaced evenly across the measured region, merged unweighted. It is the
+// only placement; SampleOptions.Mode accepts it or the empty string.
+const SampleEven = "even"
 
 // SampleOptions tunes the sampled-interval engine (Options.Sample). The full
-// measured region is covered by detailed windows — evenly spaced, or one per
-// behavior phase — each reached by restoring an architectural checkpoint
-// dropped during a single functional fast-forward, then re-warmed with
-// WarmupUops of detailed simulation before measuring.
+// measured region is covered by evenly spaced detailed windows, each reached
+// by restoring an architectural checkpoint dropped during a single
+// functional fast-forward, then re-warmed with WarmupUops of detailed
+// simulation before measuring.
 type SampleOptions struct {
-	// Mode selects window placement: SampleEven (default) or SamplePhase.
+	// Mode names the window placement: "" or SampleEven. Any other value
+	// fails the run rather than falling back.
 	Mode string
-	// Intervals is the number of detailed windows in even mode, and the cap
-	// on the BIC phase search in phase mode (0 = 4). Phase mode therefore
-	// never simulates more detailed windows than even mode would.
+	// Intervals is the number of detailed windows (0 = 4).
 	Intervals int
 	// WarmupUops is the detailed warmup run before each window's
 	// measurement, re-warming caches and predictor from the cold
@@ -53,15 +45,6 @@ type SampleOptions struct {
 	// Workers bounds how many windows simulate concurrently
 	// (0 = GOMAXPROCS).
 	Workers int
-
-	// Phases, when positive, pins the phase count in phase mode instead of
-	// the BIC search (the -phases override).
-	Phases int
-	// BBVWindows is the number of windows in the phase-mode BBV profiling
-	// grid (0 = 32, clamped so every window is at least one uop). More
-	// windows resolve finer phase structure at slightly more functional
-	// work; the detailed cost is governed by the phase count, not the grid.
-	BBVWindows int
 }
 
 // SampleFlags is the sampled-interval flag set the CLIs share.
@@ -70,33 +53,26 @@ type SampleFlags struct {
 	opts SampleOptions
 }
 
-// RegisterSampleFlags defines -sample, -sample-mode, -intervals,
-// -sample-window, -sample-warmup, -phases and -bbv-windows on fs.
+// RegisterSampleFlags defines -sample, -intervals, -sample-window and
+// -sample-warmup on fs.
 func RegisterSampleFlags(fs *flag.FlagSet) *SampleFlags {
 	f := &SampleFlags{}
 	fs.BoolVar(&f.on, "sample", false, "replace full detailed runs with checkpointed sampled intervals")
-	fs.StringVar(&f.opts.Mode, "sample-mode", SampleEven, "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
-	fs.IntVar(&f.opts.Intervals, "intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
+	fs.IntVar(&f.opts.Intervals, "intervals", 4, "detailed intervals per sampled run (with -sample)")
 	fs.Uint64Var(&f.opts.WindowUops, "sample-window", 0, "measured uops per sampled interval (0 = the whole region, split)")
 	fs.Uint64Var(&f.opts.WarmupUops, "sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
-	fs.IntVar(&f.opts.Phases, "phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
-	fs.IntVar(&f.opts.BBVWindows, "bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
 	return f
 }
 
 // Options returns the sampling the flags select with the given per-run
-// interval Workers (nil without -sample), or an error for an unknown
-// -sample-mode.
-func (f *SampleFlags) Options(workers int) (*SampleOptions, error) {
+// interval Workers, or nil without -sample.
+func (f *SampleFlags) Options(workers int) *SampleOptions {
 	if !f.on {
-		return nil, nil
-	}
-	if f.opts.Mode != SampleEven && f.opts.Mode != SamplePhase {
-		return nil, fmt.Errorf("unknown -sample-mode %q (want even or phase)", f.opts.Mode)
+		return nil
 	}
 	so := f.opts
 	so.Workers = workers
-	return &so, nil
+	return &so
 }
 
 func (o SampleOptions) intervals() int {
@@ -120,26 +96,14 @@ func (o SampleOptions) workers() int {
 	return o.Workers
 }
 
-func (o SampleOptions) bbvWindows() int {
-	if o.BBVWindows <= 0 {
-		return 32
-	}
-	return o.BBVWindows
-}
-
 // checkpoint is one detailed window of the plan: the architectural image at
-// its fast-forward point, the detailed warmup and measurement lengths, and
-// the merge weight its counters carry.
+// its fast-forward point and the detailed warmup and measurement lengths.
 type checkpoint struct {
 	id      int
 	st      prog.ArchState
 	start   uint64 // committed-uop offset of the measured window's first uop
 	warmup  uint64
 	measure uint64
-	// Merged counters scale by wnum/wden: the uops this window stands in
-	// for over the uops it actually measures. Even mode windows tile their
-	// strata and merge unweighted (1/1).
-	wnum, wden uint64
 }
 
 // ffStart returns the committed-uop offset the functional fast-forward must
@@ -156,7 +120,7 @@ func (ck checkpoint) ffStart() uint64 {
 // [full, full+measure). Window i owns stratum [full+i*step, full+(i+1)*step),
 // with the division remainder folded into the last stratum so the strata
 // tile the region exactly — no overrun past the region end and no
-// double-counted uops in the merged weights. A window measures its whole
+// double-counted uops in the merge. A window measures its whole
 // stratum, or just WindowUops of it when a smaller sample is requested.
 func planEven(full, measure uint64, so SampleOptions) []checkpoint {
 	n := so.intervals()
@@ -178,109 +142,9 @@ func planEven(full, measure uint64, so SampleOptions) []checkpoint {
 		if w > start {
 			w = start
 		}
-		plan[i] = checkpoint{id: i, start: start, warmup: w, measure: m, wnum: 1, wden: 1}
+		plan[i] = checkpoint{id: i, start: start, warmup: w, measure: m}
 	}
 	return plan
-}
-
-// planFromPhases turns a phase-analysis plan into checkpoints. The full
-// Intervals window budget is allocated across phases proportionally to their
-// uop weight (d'Hondt highest averages, so a 1-phase workload still gets all
-// Intervals windows): a phase with one window simulates its representative;
-// a phase with several stratifies its member list into contiguous chunks and
-// simulates the member of each chunk closest to the phase centroid, each
-// window carrying its chunk's exact uop weight. The measured length is
-// WindowUops when set (the SimPoint shape — measurement length independent
-// of the profiling grid's resolution), the grid window otherwise, clamped so
-// no window overruns the measured region's end. Detailed cost therefore
-// never exceeds even mode's at the same settings. The returned checkpoints
-// are in ascending start order, so the fast-forward streams them in one
-// pass.
-func planFromPhases(plan *phases.Plan, so SampleOptions, regionEnd uint64) []checkpoint {
-	k := len(plan.Phases)
-	n := so.intervals()
-	if n < k {
-		n = k
-	}
-	// Highest-averages allocation of the n windows: each extra window goes
-	// to the phase maximizing Weight/(alloc+1), capped at its member count;
-	// ties break to the lowest phase index.
-	alloc := make([]int, k)
-	for i := range alloc {
-		alloc[i] = 1
-	}
-	for given := k; given < n; given++ {
-		best := -1
-		for i, ph := range plan.Phases {
-			if alloc[i] >= len(ph.Members) {
-				continue
-			}
-			if best < 0 || ph.Weight*uint64(alloc[best]+1) > plan.Phases[best].Weight*uint64(alloc[i]+1) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break // every phase already simulates all its windows
-		}
-		alloc[best]++
-	}
-
-	var cks []checkpoint
-	for pi, ph := range plan.Phases {
-		c := alloc[pi]
-		for j := 0; j < c; j++ {
-			// Every chunk member belongs to the same phase, so each is
-			// equally representative; taking the chunk's first keeps the
-			// windows temporally stratified, and makes the k=1 degenerate
-			// case reproduce even mode's placement exactly.
-			chunk := ph.Members[j*len(ph.Members)/c : (j+1)*len(ph.Members)/c]
-			rep := chunk[0]
-			var weight uint64
-			for _, mem := range chunk {
-				weight += plan.Windows[mem].Len
-			}
-			win := plan.Windows[rep]
-			m := win.Len
-			if so.WindowUops > 0 {
-				m = so.WindowUops
-			}
-			if win.Start+m > regionEnd {
-				m = regionEnd - win.Start
-			}
-			w := so.warmupUops()
-			if w > win.Start {
-				w = win.Start
-			}
-			den := m
-			if den == 0 {
-				den = 1
-			}
-			cks = append(cks, checkpoint{start: win.Start, warmup: w, measure: m, wnum: weight, wden: den})
-		}
-	}
-	sort.Slice(cks, func(a, b int) bool { return cks[a].start < cks[b].start })
-	// Uniform weights cancel in every ratio metric (IPC, MPKI, stall
-	// fractions are all ratio-of-sums, and the jackknife's leave-one-out
-	// ratios scale the same way), so when every window carries the same
-	// wnum/wden the plan collapses to unit weights. This skips ScaleU64's
-	// per-counter rounding on the merge path, making the k=1 degenerate case
-	// bit-identical to even mode rather than equal-to-within-rounding.
-	uniform := true
-	for i := 1; i < len(cks); i++ {
-		if cks[i].wnum*cks[0].wden != cks[0].wnum*cks[i].wden {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		for i := range cks {
-			cks[i].wnum, cks[i].wden = 1, 1
-		}
-	}
-	for i := range cks {
-		cks[i].id = i
-	}
-	return cks
 }
 
 // detailedUops returns the detailed-simulation cost of a plan: every warmup
@@ -306,6 +170,9 @@ type intervalResult struct {
 // lowest failing interval id.
 func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Result, error) {
 	so := *r.opts.Sample
+	if so.Mode != "" && so.Mode != SampleEven {
+		return nil, fmt.Errorf("unknown sample mode %q (want %q)", so.Mode, SampleEven)
+	}
 	p := workload.MustLoad(bench)
 
 	full := r.opts.warmup(spec.Class)
@@ -313,18 +180,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 	label := rc.Label()
 	m := r.opts.Monitor
 
-	var plan []checkpoint
-	var phasePlan *phases.Plan
-	if so.Mode == SamplePhase {
-		pp, err := r.profilePhases(bench, label, p, full, measure, so)
-		if err != nil {
-			return nil, err
-		}
-		phasePlan = pp
-		plan = planFromPhases(phasePlan, so, full+measure)
-	} else {
-		plan = planEven(full, measure, so)
-	}
+	plan := planEven(full, measure, so)
 	n := len(plan)
 
 	// One interpreter streams through the program once, dropping each
@@ -387,16 +243,15 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 		if ir.Stats == nil {
 			return nil, fmt.Errorf("interval %d: no result", i)
 		}
-		ck := plan[i]
-		merged.MergeScaled(ir.Stats, ck.wnum, ck.wden)
-		act.L1DAccesses += stats.ScaleU64(ir.Activity.L1DAccesses, ck.wnum, ck.wden)
-		act.L1IAccesses += stats.ScaleU64(ir.Activity.L1IAccesses, ck.wnum, ck.wden)
-		act.LLCAccesses += stats.ScaleU64(ir.Activity.LLCAccesses, ck.wnum, ck.wden)
-		act.DRAMReads += stats.ScaleU64(ir.Activity.DRAMReads, ck.wnum, ck.wden)
-		act.DRAMWrites += stats.ScaleU64(ir.Activity.DRAMWrites, ck.wnum, ck.wden)
-		act.DRAMActivates += stats.ScaleU64(ir.Activity.DRAMActivates, ck.wnum, ck.wden)
-		llcMisses += stats.ScaleU64(ir.LLCMisses, ck.wnum, ck.wden)
-		res.DRAMRequests += stats.ScaleU64(ir.DRAMRequests, ck.wnum, ck.wden)
+		merged.Merge(ir.Stats)
+		act.L1DAccesses += ir.Activity.L1DAccesses
+		act.L1IAccesses += ir.Activity.L1IAccesses
+		act.LLCAccesses += ir.Activity.LLCAccesses
+		act.DRAMReads += ir.Activity.DRAMReads
+		act.DRAMWrites += ir.Activity.DRAMWrites
+		act.DRAMActivates += ir.Activity.DRAMActivates
+		llcMisses += ir.LLCMisses
+		res.DRAMRequests += ir.DRAMRequests
 		if len(ir.Chains) > 0 {
 			res.Chains = ir.Chains // keep the latest window's chains
 		}
@@ -409,18 +264,9 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 	res.MemStallPct = 100 * stats.Div(float64(merged.MemStallCycles), float64(merged.Cycles))
 
 	res.Sampling = &SamplingInfo{
-		Mode:         so.Mode,
 		Intervals:    n,
 		DetailedUops: detailedUops(plan),
-	}
-	if res.Sampling.Mode == "" {
-		res.Sampling.Mode = SampleEven
-	}
-	if phasePlan != nil {
-		res.Sampling.BBVWindows = len(phasePlan.Windows)
-		res.Sampling.Phases = phasePlan.K()
-		res.Sampling.Dispersion = phasePlan.AvgDispersion()
-		res.Sampling.CIs = sampleCIs(plan, results, phasePlan)
+		CIs:          sampleCIs(plan, results),
 	}
 	return res, nil
 }
@@ -441,4 +287,153 @@ func (r *Runner) runInterval(bench string, rc RunConfig, p *prog.Program, ck che
 	}
 	ir.Measurement = s.Measure(ck.warmup, ck.measure)
 	return ir
+}
+
+// SamplingInfo describes how a sampled result was produced, attached to
+// Result so reports can show the accuracy/cost trade alongside the metrics.
+type SamplingInfo struct {
+	// Intervals is the number of detailed windows actually simulated.
+	Intervals int `json:"intervals"`
+	// DetailedUops is the total detailed-simulation cost (warmup + measured
+	// uops across all windows) — the denominator of any accuracy-per-cost
+	// comparison.
+	DetailedUops uint64 `json:"detailed_uops"`
+	// CIs are per-metric 95% confidence intervals for the merged estimates.
+	CIs []SampleCI `json:"cis,omitempty"`
+}
+
+// SampleCI is a confidence interval for one sampled metric estimate.
+type SampleCI struct {
+	Metric string  `json:"metric"`
+	Mean   float64 `json:"mean"`
+	Lo     float64 `json:"lo"`
+	Hi     float64 `json:"hi"`
+}
+
+// CI returns the interval for the named metric, or nil when absent.
+func (si *SamplingInfo) CI(metric string) *SampleCI {
+	if si == nil {
+		return nil
+	}
+	for i := range si.CIs {
+		if si.CIs[i].Metric == metric {
+			return &si.CIs[i]
+		}
+	}
+	return nil
+}
+
+const (
+	// ciZ is the normal 95% critical value applied to the jackknife
+	// standard error.
+	ciZ = 1.96
+	// ciFloorRel is a relative floor added to every half-width: with a
+	// handful of windows the jackknife variance underestimates badly (and
+	// is zero for one window), while sampling error below a few percent is
+	// indistinguishable from warmup noise anyway.
+	ciFloorRel = 0.03
+	// ciTransientUops is the empirical cold-start transient scale. Every
+	// detailed window re-warms microarchitectural state for WarmupUops, but
+	// the deep structures (chain cache, runahead intervals in flight)
+	// carry a residual transient on the order of a couple thousand uops
+	// that biases every window the same way — invisible to the jackknife,
+	// shrinking inversely with the measured window length. Calibrated so
+	// the full-detail IPC of the seed kernels lands inside the interval
+	// from 15k-uop windows (where the engine's error peaks near its
+	// documented bound) down to full-parity strata (where the term
+	// vanishes into the floor).
+	ciTransientUops = 2000.0
+)
+
+// SamplingTable renders the per-metric 95% confidence intervals carried by
+// sampled results: one row per (benchmark, configuration) pair that was
+// simulated with sampling. Full-detail rows are skipped.
+func SamplingTable(r *Runner) Table {
+	t := Table{ID: "sampling", Title: "Sampling confidence intervals (95%)",
+		Columns: []string{"Benchmark", "Config", "IPC", "IPC CI", "MPKI CI", "MemStall% CI"}}
+	ci := func(si *SamplingInfo, metric string) string {
+		c := si.CI(metric)
+		if c == nil {
+			return "-"
+		}
+		return fmt.Sprintf("[%.3f, %.3f]", c.Lo, c.Hi)
+	}
+	for _, name := range r.mhNames() {
+		for _, rc := range []RunConfig{Baseline, BufferCC, Hybrid} {
+			res := r.Result(name, rc)
+			si := res.Sampling
+			if si == nil || len(si.CIs) == 0 {
+				continue
+			}
+			t.AddRow(name, rc.Label(), fmt.Sprintf("%.3f", res.IPC), ci(si, "IPC"), ci(si, "MPKI"), ci(si, "MemStallPct"))
+		}
+	}
+	if len(t.Rows) == 0 {
+		t.Notes = append(t.Notes, "no sampled runs (use -sample)")
+	}
+	return t
+}
+
+// sampleCIs builds 95% confidence intervals for the merged ratio-of-sums
+// estimators (IPC, MPKI, MemStallPct). The variance term is a delete-one
+// jackknife with each window its own unit; on top of it every half-width
+// carries a relative floor plus a cold-start transient term that shrinks
+// with the shortest measured window.
+func sampleCIs(plan []checkpoint, results []intervalResult) []SampleCI {
+	type ratio struct {
+		name string
+		num  func(*intervalResult) float64
+		den  func(*intervalResult) float64
+	}
+	metrics := []ratio{
+		{"IPC",
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Committed) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Cycles) }},
+		{"MPKI",
+			func(ir *intervalResult) float64 { return 1000 * float64(ir.LLCMisses) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Committed) }},
+		{"MemStallPct",
+			func(ir *intervalResult) float64 { return 100 * float64(ir.Stats.MemStallCycles) },
+			func(ir *intervalResult) float64 { return float64(ir.Stats.Cycles) }},
+	}
+	k := len(plan)
+	minMeasure := plan[0].measure
+	for _, ck := range plan {
+		minMeasure = min(minMeasure, ck.measure)
+	}
+	relFloor := ciFloorRel
+	if minMeasure > 0 {
+		relFloor += ciTransientUops / float64(minMeasure)
+	}
+	nums := make([]float64, k)
+	dens := make([]float64, k)
+	loo := make([]float64, k)
+	cis := make([]SampleCI, 0, len(metrics))
+	for _, mt := range metrics {
+		var sn, sd float64
+		for i := range results {
+			nums[i] = mt.num(&results[i])
+			dens[i] = mt.den(&results[i])
+			sn += nums[i]
+			sd += dens[i]
+		}
+		mean := stats.Div(sn, sd)
+		var varJack float64
+		if k > 1 {
+			var avg float64
+			for i := 0; i < k; i++ {
+				loo[i] = stats.Div(sn-nums[i], sd-dens[i])
+				avg += loo[i]
+			}
+			avg /= float64(k)
+			for i := 0; i < k; i++ {
+				d := loo[i] - avg
+				varJack += d * d
+			}
+			varJack *= float64(k-1) / float64(k)
+		}
+		half := ciZ*math.Sqrt(varJack) + mean*relFloor
+		cis = append(cis, SampleCI{Metric: mt.name, Mean: mean, Lo: max(mean-half, 0), Hi: mean + half})
+	}
+	return cis
 }

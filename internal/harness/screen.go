@@ -58,8 +58,8 @@ func (r *Runner) twinProfile(bench string) *twin.WorkloadProfile {
 }
 
 // ProfileWallSec reports the wall seconds this runner has spent in
-// interpreter-speed profiling passes (twin profiles, BBV phase profiles) —
-// the screening tier's overhead, reported alongside simulation wall time.
+// interpreter-speed twin profiling passes — the screening tier's overhead,
+// reported alongside simulation wall time.
 func (r *Runner) ProfileWallSec() float64 {
 	return float64(atomic.LoadInt64(&r.profileWallNanos)) / 1e9
 }

@@ -100,14 +100,3 @@ func (in *Interp) Run(n uint64) {
 		in.Step()
 	}
 }
-
-// RunBBV executes n uops like Run while accumulating a basic-block vector:
-// each executed uop increments counts at its static block id (uop-weighted
-// block frequencies, the SimPoint form). counts must have one slot per
-// program block; the architectural outcome is identical to Run(n).
-func (in *Interp) RunBBV(n uint64, counts []uint64) {
-	for i := uint64(0); i < n; i++ {
-		counts[in.P.BlockOf[in.pc]]++
-		in.Step()
-	}
-}

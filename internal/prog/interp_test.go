@@ -263,30 +263,3 @@ func TestInterpDeterminism(t *testing.T) {
 		t.Fatal("two interpreter runs produced different memory")
 	}
 }
-
-// TestRunBBVMatchesRun checks the BBV collection path is architecturally
-// invisible (same registers, memory, and position as plain Run) and that
-// the accumulated counts attribute every executed uop to a valid block.
-func TestRunBBVMatchesRun(t *testing.T) {
-	p, _ := sumProgram(t, 16)
-	plain, bbv := NewInterp(p), NewInterp(p)
-	plain.Run(300)
-	counts := make([]uint64, p.NumBlocks())
-	bbv.RunBBV(300, counts)
-	if plain.Regs != bbv.Regs {
-		t.Fatal("RunBBV diverged from Run in registers")
-	}
-	if !plain.Mem.Equal(bbv.Mem) {
-		t.Fatal("RunBBV diverged from Run in memory")
-	}
-	if plain.pc != bbv.pc || plain.count != bbv.count {
-		t.Fatalf("RunBBV position (%d, %d) != Run position (%d, %d)", bbv.pc, bbv.count, plain.pc, plain.count)
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != 300 {
-		t.Fatalf("BBV counts sum to %d, want 300 (every uop attributed exactly once)", total)
-	}
-}

@@ -27,9 +27,6 @@ type Program struct {
 // NumUops returns the number of static uops in the program.
 func (p *Program) NumUops() int { return len(p.Uops) }
 
-// NumBlocks returns the number of basic blocks in the program.
-func (p *Program) NumBlocks() int { return len(p.BlockStart) }
-
 // AddrOf returns the address of uop index i.
 func (p *Program) AddrOf(i int) uint64 {
 	return isa.TextBase + uint64(i)*isa.UopBytes

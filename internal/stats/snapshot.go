@@ -55,22 +55,3 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.MaxSeen = o.MaxSeen
 	}
 }
-
-// MergeScaled folds o's observations into h with every count scaled by the
-// rational num/den (round-to-nearest) — the phase-weighted sampled engine
-// extrapolating one representative window's histogram to the uops its phase
-// covers. Geometry must match, as in Merge. MaxSeen is an observed extremum,
-// not a count, so it merges unscaled.
-func (h *Histogram) MergeScaled(o *Histogram, num, den uint64) {
-	if h.BucketWidth != o.BucketWidth || len(h.Buckets) != len(o.Buckets) {
-		panic("stats: merging histograms of different geometry")
-	}
-	for i, b := range o.Buckets {
-		h.Buckets[i] += ScaleU64(b, num, den)
-	}
-	h.Count += ScaleU64(o.Count, num, den)
-	h.Sum += ScaleU64(o.Sum, num, den)
-	if o.MaxSeen > h.MaxSeen {
-		h.MaxSeen = o.MaxSeen
-	}
-}

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 )
@@ -84,29 +83,6 @@ func Div(a, b float64) float64 {
 		return 0
 	}
 	return q
-}
-
-// ScaleU64 returns v*num/den rounded to nearest, using 128-bit intermediate
-// math so large counters scaled by large uop weights cannot overflow. den
-// must be nonzero.
-func ScaleU64(v, num, den uint64) uint64 {
-	hi, lo := bits.Mul64(v, num)
-	lo, carry := bits.Add64(lo, den/2, 0)
-	hi += carry
-	if hi >= den { // quotient exceeds 64 bits; saturate rather than panic
-		return math.MaxUint64
-	}
-	q, _ := bits.Div64(hi, lo, den)
-	return q
-}
-
-// ScaleI64 is ScaleU64 over a signed magnitude (counters that are declared
-// int64 but are logically non-negative cycle counts).
-func ScaleI64(v int64, num, den uint64) int64 {
-	if v < 0 {
-		return -int64(ScaleU64(uint64(-v), num, den))
-	}
-	return int64(ScaleU64(uint64(v), num, den))
 }
 
 // PctDelta returns the percent difference of v relative to base:

@@ -218,42 +218,3 @@ func TestDivSafe(t *testing.T) {
 		t.Fatalf("Div(+Inf,2) = %v, want 0 (non-finite quotient)", got)
 	}
 }
-
-func TestScaleU64(t *testing.T) {
-	cases := []struct{ v, num, den, want uint64 }{
-		{10, 1, 1, 10},
-		{10, 3, 1, 30},
-		{10, 1, 3, 3},   // 3.33 rounds to 3
-		{10, 1, 4, 3},   // 2.5 rounds to 3 (round half up)
-		{0, 7, 3, 0},
-		{1 << 62, 1000, 1, math.MaxUint64}, // overflowing quotient saturates
-		{1 << 40, 1 << 30, 1 << 20, 1 << 50},
-	}
-	for _, c := range cases {
-		if got := ScaleU64(c.v, c.num, c.den); got != c.want {
-			t.Errorf("ScaleU64(%d, %d, %d) = %d, want %d", c.v, c.num, c.den, got, c.want)
-		}
-	}
-	if got := ScaleI64(-12, 1, 5); got != -2 {
-		t.Errorf("ScaleI64(-12, 1, 5) = %d, want -2", got)
-	}
-}
-
-func TestHistogramMergeScaled(t *testing.T) {
-	a := NewHistogram(4, 10)
-	b := NewHistogram(4, 10)
-	for i := 0; i < 3; i++ {
-		b.Observe(5)
-	}
-	b.Observe(25)
-	a.MergeScaled(b, 3, 1)
-	if a.Count != 12 || a.Sum != 3*(3*5+25) {
-		t.Fatalf("scaled merge Count=%d Sum=%d", a.Count, a.Sum)
-	}
-	if a.Buckets[0] != 9 || a.Buckets[2] != 3 {
-		t.Fatalf("scaled merge buckets %v", a.Buckets)
-	}
-	if a.MaxSeen != 25 {
-		t.Fatalf("MaxSeen %d scaled; extrema must merge unscaled", a.MaxSeen)
-	}
-}

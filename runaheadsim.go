@@ -27,6 +27,7 @@ package runaheadsim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -183,35 +184,95 @@ func MediumHighBenchmarks() []string {
 // Run simulates one benchmark under one configuration and also runs the
 // matching no-prefetching baseline so the Result can report deltas.
 func Run(cfg Config) (Result, error) {
-	cm, err := cfg.Mode.coreMode()
-	if err != nil {
-		return Result{}, err
+	var res Result
+	err := RunAll([]Config{cfg}, func(r Result) error {
+		res = r
+		return nil
+	})
+	return res, err
+}
+
+// RunAll simulates several configurations on one shared runner, so a run
+// they have in common — above all the no-prefetching baseline that every
+// Result's deltas are taken against — is simulated once. Each configuration
+// picks its own Benchmark, Mode, Enhancements, Prefetcher and DepTrack; the
+// runner settings (every other field) must be the same in all of them, or
+// RunAll returns an error. Every configuration is checked before any is
+// simulated. each receives the Results in order, each as soon as its run
+// finishes; an error from each stops RunAll and is returned.
+func RunAll(cfgs []Config, each func(Result) error) error {
+	rcs := make([]harness.RunConfig, len(cfgs))
+	for i, cfg := range cfgs {
+		cm, err := cfg.Mode.coreMode()
+		if err != nil {
+			return err
+		}
+		if _, ok := workload.SpecOf(cfg.Benchmark); !ok {
+			names := Benchmarks()
+			sort.Strings(names)
+			return fmt.Errorf("runaheadsim: unknown benchmark %q (have %s)",
+				cfg.Benchmark, strings.Join(names, ", "))
+		}
+		if i > 0 {
+			if err := sameRunner(cfgs[0], cfg); err != nil {
+				return fmt.Errorf("runaheadsim: config %d: %w", i, err)
+			}
+		}
+		rcs[i] = harness.RunConfig{Mode: cm, Enhancements: cfg.Enhancements, Prefetch: cfg.Prefetcher, DepTrack: cfg.DepTrack}
 	}
-	if _, ok := workload.SpecOf(cfg.Benchmark); !ok {
-		names := Benchmarks()
-		sort.Strings(names)
-		return Result{}, fmt.Errorf("runaheadsim: unknown benchmark %q (have %s)",
-			cfg.Benchmark, strings.Join(names, ", "))
+	if len(cfgs) == 0 {
+		return nil
 	}
-	opts := harness.Options{
-		MeasureUops:      cfg.MeasureUops,
-		WarmupUops:       cfg.WarmupUops,
-		TimelineInterval: cfg.TimelineInterval,
-		TimelineSamples:  cfg.TimelineSamples,
-		Check:            cfg.Check,
-		WatchdogCycles:   cfg.WatchdogCycles,
-		FlightDumpDir:    cfg.FlightDumpDir,
+	c0 := cfgs[0]
+	r := harness.NewRunner(harness.Options{
+		MeasureUops:      c0.MeasureUops,
+		WarmupUops:       c0.WarmupUops,
+		TimelineInterval: c0.TimelineInterval,
+		TimelineSamples:  c0.TimelineSamples,
+		Check:            c0.Check,
+		WatchdogCycles:   c0.WatchdogCycles,
+		FlightDumpDir:    c0.FlightDumpDir,
+		Monitor:          c0.Monitor,
+	})
+	for i, cfg := range cfgs {
+		if err := each(newResult(cfg, r.Result(cfg.Benchmark, rcs[i]), r.Result(cfg.Benchmark, harness.Baseline))); err != nil {
+			return err
+		}
 	}
-	if cfg.Monitor != nil {
-		opts.Monitor = cfg.Monitor
+	return nil
+}
+
+// sameRunner reports which runner setting b does not share with a, if any.
+func sameRunner(a, b Config) error {
+	switch {
+	case a.MeasureUops != b.MeasureUops:
+		return fmt.Errorf("MeasureUops %d differs from config 0's %d", b.MeasureUops, a.MeasureUops)
+	case a.WarmupUops != b.WarmupUops:
+		return fmt.Errorf("WarmupUops %d differs from config 0's %d", b.WarmupUops, a.WarmupUops)
+	case a.TimelineInterval != b.TimelineInterval:
+		return fmt.Errorf("TimelineInterval %d differs from config 0's %d", b.TimelineInterval, a.TimelineInterval)
+	case a.TimelineSamples != b.TimelineSamples:
+		return fmt.Errorf("TimelineSamples %d differs from config 0's %d", b.TimelineSamples, a.TimelineSamples)
+	case a.Check != b.Check:
+		return fmt.Errorf("Check %v differs from config 0's %v", b.Check, a.Check)
+	case a.WatchdogCycles != b.WatchdogCycles:
+		return fmt.Errorf("WatchdogCycles %d differs from config 0's %d", b.WatchdogCycles, a.WatchdogCycles)
+	case a.FlightDumpDir != b.FlightDumpDir:
+		return fmt.Errorf("FlightDumpDir %q differs from config 0's %q", b.FlightDumpDir, a.FlightDumpDir)
 	}
-	r := harness.NewRunner(opts)
-	rc := harness.RunConfig{Mode: cm, Enhancements: cfg.Enhancements, Prefetch: cfg.Prefetcher, DepTrack: cfg.DepTrack}
-	res := r.Result(cfg.Benchmark, rc)
-	base := res
-	if rc != harness.Baseline {
-		base = r.Result(cfg.Benchmark, harness.Baseline)
+	// A Monitor of a non-comparable type (a struct value holding a map, say)
+	// would make == panic; such a value cannot be shown to be the same one.
+	if b.Monitor != nil && !reflect.TypeOf(b.Monitor).Comparable() {
+		return fmt.Errorf("Monitor of type %T cannot be compared across configs; pass a pointer", b.Monitor)
 	}
+	if a.Monitor != b.Monitor {
+		return fmt.Errorf("Monitor differs from config 0's")
+	}
+	return nil
+}
+
+// newResult builds the facade Result for one run, with deltas against base.
+func newResult(cfg Config, res, base *harness.Result) Result {
 	st := res.Stats
 	out := Result{
 		Benchmark:            cfg.Benchmark,
@@ -242,7 +303,7 @@ func Run(cfg Config) (Result, error) {
 	if out.Mode == "" {
 		out.Mode = ModeBaseline
 	}
-	return out, nil
+	return out
 }
 
 // ExperimentIDs lists every regenerable paper artifact, in paper order.
